@@ -35,131 +35,58 @@ def emit_facts(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _path_rules() -> list[str]:
-    return [
+def emit(a: Automaton, formulation: str, c: int, legacy_syntax: bool = False) -> AspProgram:
+    """Program text of one formulation at length bound c.
+
+    asp1 (sink state): an answer set exists iff some word of length c takes
+    every state to one sink state.  asp2 (adjacent-pair merging): every pair
+    (r, r+1) must land on a common state under some prefix of the word.  The
+    opt variants let the solver pick the length l <= c and minimize it;
+    `legacy_syntax` writes their #minimize line in the old gringo syntax.
+    """
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    if c < 1:
+        raise ValueError(f"bound c must be >= 1, got {c}")
+    opt = formulation.endswith("opt")
+    sink = formulation.startswith("asp1")
+    parts = [emit_facts(a).rstrip("\n")]
+    if opt:
+        minimize = ("#minimize [ shortest(L) = L ]." if legacy_syntax
+                    else "#minimize { L : shortest(L) }.")
+        parts += [f"1 {{ shortest(L) : L = 1..{c} }} 1.", "step(1..I) :- shortest(I).", minimize]
+    else:
+        parts.append(f"step(1..{c}).")
+    parts += [
+        "1 { synchro(I,J) : symbol(J) } 1 :- step(I).",
         "path(S,1,S) :- state(S).",
         "path(S,I+1,Q) :- path(S,I,R), synchro(I,X), transition(R,X,Q), "
         "state(S), state(R), state(Q), symbol(X), step(I).",
     ]
-
-
-def _generate_rule() -> str:
-    return "1 { synchro(I,J) : symbol(J) } 1 :- step(I)."
-
-
-def _step_facts(c: int) -> str:
-    return f"step(1..{c})."
-
-
-def _merged_rules(a: Automaton) -> list[str]:
-    # merged(r): states r and r+1 land on one state after some nonempty
-    # prefix of the word.  The path atom for a prefix of length I has step
-    # index I+1, hence the I+1 here; once merged, determinism keeps the pair
-    # merged for every longer prefix.
-    return [
-        "merged(R) :- path(R,I+1,S), path(R+1,I+1,S), "
-        "state(S), state(R), state(R+1), step(I).",
-        f":- state(R), R < {a.n}, not merged(R).",
-    ]
-
-
-def _minimize(legacy: bool) -> str:
-    if legacy:
-        return "#minimize [ shortest(L) = L ]."
-    return "#minimize { L : shortest(L) }."
-
-
-def emit_asp1(a: Automaton, c: int, legacy_syntax: bool = False) -> AspProgram:
-    """Sink-state decision program: an answer set exists iff some word of
-    length c takes every state to one sink state."""
-    if c < 1:
-        raise ValueError(f"bound c must be >= 1, got {c}")
-    parts = [
-        emit_facts(a).rstrip("\n"),
-        _step_facts(c),
-        _generate_rule(),
-        *_path_rules(),
-        "1 { sink(F) : state(F) } 1.",
-        f":- sink(F), not path(S,{c + 1},F), state(S), state(F).",
-        "#show synchro/2.",
-        "#show sink/1.",
-    ]
-    return AspProgram("asp1", c, "\n".join(parts) + "\n")
-
-
-def emit_asp2(a: Automaton, c: int, legacy_syntax: bool = False) -> AspProgram:
-    """Adjacent-pair merging decision program: every pair (r, r+1) must land
-    on a common state under some prefix of the word."""
-    if c < 1:
-        raise ValueError(f"bound c must be >= 1, got {c}")
-    parts = [
-        emit_facts(a).rstrip("\n"),
-        _step_facts(c),
-        _generate_rule(),
-        *_path_rules(),
-    ]
-    if a.n >= 2:
-        parts += _merged_rules(a)
-    parts += ["#show synchro/2."]
-    return AspProgram("asp2", c, "\n".join(parts) + "\n")
-
-
-def _opt_common(c: int, legacy: bool) -> list[str]:
-    return [
-        f"1 {{ shortest(L) : L = 1..{c} }} 1.",
-        "step(1..I) :- shortest(I).",
-        _minimize(legacy),
-    ]
-
-
-def emit_asp1_opt(a: Automaton, c: int, legacy_syntax: bool = False) -> AspProgram:
-    """Optimization variant of asp1: the solver picks the length directly.
-
-    The sink check is parametrized by the chosen length, so paths are only
-    required to reach the sink at step l+1, not at the fixed step c+1.
-    """
-    if c < 1:
-        raise ValueError(f"bound c must be >= 1, got {c}")
-    parts = [
-        emit_facts(a).rstrip("\n"),
-        *_opt_common(c, legacy_syntax),
-        _generate_rule(),
-        *_path_rules(),
-        "1 { sink(F) : state(F) } 1.",
-        ":- sink(F), shortest(L), state(S), not path(S,L+1,F).",
-        "#show synchro/2.",
-        "#show sink/1.",
-        "#show shortest/1.",
-    ]
-    return AspProgram("asp1opt", c, "\n".join(parts) + "\n")
-
-
-def emit_asp2_opt(a: Automaton, c: int, legacy_syntax: bool = False) -> AspProgram:
-    """Optimization variant of asp2."""
-    if c < 1:
-        raise ValueError(f"bound c must be >= 1, got {c}")
-    parts = [
-        emit_facts(a).rstrip("\n"),
-        *_opt_common(c, legacy_syntax),
-        _generate_rule(),
-        *_path_rules(),
-    ]
-    if a.n >= 2:
-        parts += _merged_rules(a)
-    parts += ["#show synchro/2.", "#show shortest/1."]
-    return AspProgram("asp2opt", c, "\n".join(parts) + "\n")
-
-
-def emit(a: Automaton, formulation: str, c: int, legacy_syntax: bool = False) -> AspProgram:
-    emitters = {
-        "asp1": emit_asp1,
-        "asp2": emit_asp2,
-        "asp1opt": emit_asp1_opt,
-        "asp2opt": emit_asp2_opt,
-    }
-    if formulation not in emitters:
-        raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
-    return emitters[formulation](a, c, legacy_syntax)
+    if sink:
+        # The opt sink check is parametrized by the chosen length, so paths
+        # are only required to reach the sink at step l+1, not at c+1.
+        parts += [
+            "1 { sink(F) : state(F) } 1.",
+            ":- sink(F), shortest(L), state(S), not path(S,L+1,F)." if opt
+            else f":- sink(F), not path(S,{c + 1},F), state(S), state(F).",
+        ]
+    elif a.n >= 2:
+        # merged(r): states r and r+1 land on one state after some nonempty
+        # prefix of the word.  The path atom for a prefix of length I has step
+        # index I+1, hence the I+1 here; once merged, determinism keeps the
+        # pair merged for every longer prefix.
+        parts += [
+            "merged(R) :- path(R,I+1,S), path(R+1,I+1,S), "
+            "state(S), state(R), state(R+1), step(I).",
+            f":- state(R), R < {a.n}, not merged(R).",
+        ]
+    parts.append("#show synchro/2.")
+    if sink:
+        parts.append("#show sink/1.")
+    if opt:
+        parts.append("#show shortest/1.")
+    return AspProgram(formulation, c, "\n".join(parts) + "\n")
 
 
 _ATOM_RE = re.compile(r"([a-z_]+)\(([0-9,\s]+)\)")

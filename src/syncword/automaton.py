@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from syncword.errors import ParseError
 
@@ -40,14 +40,6 @@ class Automaton:
             for x, t in enumerate(row, start=1):
                 if not 1 <= t <= self.n:
                     raise ValueError(f"delta({s},{x}) = {t} is outside 1..{self.n}")
-
-    def step(self, q: int, x: int) -> int:
-        """Successor of state `q` under a single symbol `x`."""
-        if not 1 <= q <= self.n:
-            raise ValueError(f"state {q} outside 1..{self.n}")
-        if not 1 <= x <= self.k:
-            raise ValueError(f"symbol {x} outside 1..{self.k}")
-        return self.delta[q - 1][x - 1]
 
 
 def apply_word(a: Automaton, q: int, w: Sequence[int]) -> int:
@@ -234,10 +226,3 @@ def cubic_length_bound(n: int) -> int:
 def default_initial_bound(n: int) -> int:
     """ceil(2*sqrt(n)): the empirical average shortest length for random FAs."""
     return max(1, math.isqrt(4 * n) + (0 if math.isqrt(4 * n) ** 2 == 4 * n else 1))
-
-
-def enumerate_words(k: int, length: int) -> Iterable[Word]:
-    """All k^length words of the given length, in lexicographic order."""
-    import itertools
-
-    return itertools.product(range(1, k + 1), repeat=length)

@@ -2,7 +2,8 @@
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 no synchronizing sequence, 2 usage or input error,
-3 infrastructure (solver process) error.
+3 infrastructure error: solver process, resource cap, or a witness that
+fails verification.
 """
 
 from __future__ import annotations
@@ -15,13 +16,20 @@ from syncword import aspenc, bench, satenc
 from syncword.automaton import (
     generate_cerny,
     generate_random,
+    is_synchronizing_word,
     parse_fa,
     parse_kiss2,
     serialize_fa,
     word_to_letters,
 )
 from syncword.driver import METHODS, SearchConfig, find_shortest
-from syncword.errors import DecodeError, ParseError, SolverError, SoundnessError
+from syncword.errors import (
+    DecodeError,
+    ParseError,
+    ResourceLimitError,
+    SolverError,
+    SoundnessError,
+)
 from syncword.exact import check_synchronizable, greedy_sync
 
 EXIT_OK = 0
@@ -164,6 +172,8 @@ def _cmd_decode(args) -> int:
     a = _load_fa(args.fa)
     model = satenc.parse_model_literals(Path(args.model).read_text())
     word = satenc.decode_model(a, args.bound, model)
+    if not is_synchronizing_word(a, word):
+        raise SoundnessError(f"decoded witness {word_to_letters(word)} does not synchronize")
     print(f"witness {word_to_letters(word)}")
     return EXIT_OK
 
@@ -238,7 +248,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ParseError, DecodeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, SoundnessError, OSError) as exc:
+    except (SolverError, SoundnessError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFRA
 

@@ -1,16 +1,20 @@
-"""Shortest-length discovery: binary search with doubling over the decision
-encodings, plus external solver process adaptation.
+"""Shortest-length discovery: one probe per bound and one search loop over
+every method, plus external solver process adaptation.
 
 The decision predicate "a synchronizing word of length c exists" is monotone
 in c, so after doubling to a SAT upper bound we binary-search the least SAT
-c.  Every witness is re-verified against the automaton before it is reported;
-a verification failure on an external path is a soundness error, never
-silently accepted.
+c; BFS and the opt programs return the optimum directly and skip the binary
+search.  Every witness is re-verified against the automaton before it is
+reported; a verification failure is a soundness error, never silently
+accepted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -60,6 +64,9 @@ class SearchConfig:
 
 @dataclass
 class ProbeRecord:
+    """One probe at bound c.  `wall_time` covers the whole probe, encode
+    through decode, for every method; BFS records the length it found as c."""
+
     c: int
     verdict: str  # "sat" | "unsat"
     wall_time: float
@@ -97,22 +104,27 @@ def run_external(payload: str, command_template: str, time_budget: float | None 
         fh.write(payload)
         path = fh.name
     try:
-        cmd = command_template.replace("{file}", path)
+        cmd = command_template.replace("{file}", shlex.quote(path))
         start = time.monotonic()
+        # A session of its own puts the shell and everything it starts in one
+        # process group, so a timeout can kill the solver, not just the shell.
+        proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
         try:
-            proc = subprocess.run(
-                cmd, shell=True, capture_output=True, text=True, timeout=time_budget
-            )
+            stdout, stderr = proc.communicate(timeout=time_budget)
         except subprocess.TimeoutExpired as exc:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
             raise SolverError(f"solver timed out after {time_budget}s: {cmd}") from exc
         elapsed = time.monotonic() - start
-        if not proc.stdout.strip():
+        if not stdout.strip():
             raise SolverError(
                 f"solver produced no output (exit {proc.returncode}): {cmd}\n"
-                f"stderr: {proc.stderr[:500]}"
+                f"stderr: {stderr[:500]}"
             )
         memory_kb = _child_peak_memory_kb()
-        return ExternalResult(proc.stdout, proc.stderr, proc.returncode, elapsed, memory_kb)
+        return ExternalResult(stdout, stderr, proc.returncode, elapsed, memory_kb)
     finally:
         os.unlink(path)
 
@@ -182,9 +194,10 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     """Shortest synchronizing length under the configured method.
 
     Returns None (not synchronizable) without any solver call when the
-    polynomial check fails.  Decision methods double c from the initial bound
-    until SAT, then binary-search the least SAT c; opt methods re-emit with
-    doubled c on unsatisfiability and read the length from the answer set.
+    polynomial check fails.  Otherwise c doubles from the initial bound up to
+    the first satisfiable probe.  BFS and the opt programs return the optimum
+    directly; the decision methods then binary-search the least satisfiable
+    c.  The witness is re-verified before it is reported.
     """
     if not check_synchronizable(a):
         return None
@@ -192,74 +205,23 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
         return SearchOutcome(0, (), [], time.monotonic() - start)
-    if cfg.method == "bfs":
-        res = shortest_sync_bfs(a, max_visited=cfg.max_visited)
-        if res is None:  # pair check said synchronizable; BFS must agree
-            raise SoundnessError("pair-automaton check and power-set BFS disagree")
-        elapsed = time.monotonic() - start
-        outcome = SearchOutcome(
-            res.length, res.witness, [ProbeRecord(res.length, "sat", elapsed)], elapsed
-        )
-        return _verified(a, outcome, internal=True)
-    if cfg.method.endswith("opt"):
-        return _search_opt(a, cfg, start)
-    return _search_decision(a, cfg, start)
-
-
-def _verified(a: Automaton, outcome: SearchOutcome, internal: bool) -> SearchOutcome:
-    if len(outcome.witness) != outcome.length or not is_synchronizing_word(a, outcome.witness):
-        kind = "internal" if internal else "external solver"
-        raise SoundnessError(
-            f"decoded witness of length {len(outcome.witness)} failed re-verification "
-            f"({kind} path)"
-        )
-    return outcome
-
-
-def _decide(a: Automaton, c: int, cfg: SearchConfig) -> tuple[Word | None, ProbeRecord]:
-    """One decision probe at bound c: (witness or None, probe record)."""
-    t0 = time.monotonic()
-    method = cfg.method
-    if method == "sat-internal":
-        cnf = satenc.encode_sat(a, c)
-        model = satenc.solve_internal(cnf)
-        word = None if model is None else satenc.decode_model(a, c, model)
-        rec = ProbeRecord(c, "unsat" if word is None else "sat", time.monotonic() - t0)
-        return word, rec
-    cmd = cfg.resolved_solver_cmd()
-    if cmd is None:
-        raise SolverError(f"method {method!r} needs a solver command (flag or env var)")
-    if method == "sat-external":
-        payload = satenc.write_dimacs(satenc.encode_sat(a, c))
-        result = run_external(payload, cmd, cfg.time_budget, suffix=".cnf")
-        model = parse_sat_solver_output(result.stdout)
-        word = None if model is None else satenc.decode_model(a, c, model)
-    else:  # asp1 / asp2
-        program = aspenc.emit(a, method, c, cfg.legacy_syntax)
-        result = run_external(program.text, cmd, cfg.time_budget, suffix=".lp")
-        atoms = parse_asp_solver_output(result.stdout)
-        word = None if atoms is None else aspenc.decode_answer_set(program, atoms)[0]
-    rec = ProbeRecord(c, "unsat" if word is None else "sat", result.wall_time, result.memory_kb)
-    return word, rec
-
-
-def _search_decision(a: Automaton, cfg: SearchConfig, start: float) -> SearchOutcome:
-    n = a.n
-    cap = max(1, cubic_length_bound(n)) if n > 1 else 1
-    c = min(cfg.initial_c or default_initial_bound(n), cap)
+    cmd = None
+    if cfg.method not in ("bfs", "sat-internal"):
+        cmd = cfg.resolved_solver_cmd()
+        if cmd is None:
+            raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
+    cap = max(1, cubic_length_bound(a.n))
+    c = min(cfg.initial_c or default_initial_bound(a.n), cap)
     calls: list[ProbeRecord] = []
 
     # Doubling phase: find a SAT upper bound.
-    sat_c: int | None = None
-    sat_word: Word | None = None
     unsat_c = 0
     while True:
-        word, rec = _decide(a, c, cfg)
+        word, shortest, rec = _probe(a, c, cfg, cmd)
         calls.append(rec)
         if word is not None:
-            sat_c, sat_word = c, word
             break
-        unsat_c = max(unsat_c, c)
+        unsat_c = c
         if c >= cap:
             # Synchronizable automata always have a word within the cubic
             # bound; reaching it UNSAT means the encoder or solver is broken.
@@ -269,51 +231,57 @@ def _search_decision(a: Automaton, cfg: SearchConfig, start: float) -> SearchOut
             )
         c = min(2 * c, cap)
 
-    # Binary search for the least SAT c in (unsat_c, sat_c].
-    lo, hi = unsat_c, sat_c
-    best_word = sat_word
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        word, rec = _decide(a, mid, cfg)
-        calls.append(rec)
-        if word is not None:
-            hi, best_word = mid, word
+    # Binary search for the least SAT c in (unsat_c, c].  The encoding pads
+    # shorter words up to the bound, so |word| == the bound it was found at.
+    if shortest is None:
+        lo, shortest = unsat_c, c
+        while shortest - lo > 1:
+            mid = (lo + shortest) // 2
+            mid_word, _, rec = _probe(a, mid, cfg, cmd)
+            calls.append(rec)
+            if mid_word is not None:
+                shortest, word = mid, mid_word
+            else:
+                lo = mid
+
+    if len(word) != shortest or not is_synchronizing_word(a, word):
+        kind = "internal" if cmd is None else "external solver"
+        raise SoundnessError(
+            f"decoded witness of length {len(word)} failed re-verification ({kind} path)"
+        )
+    peak = max((r.memory_kb for r in calls if r.memory_kb), default=None)
+    return SearchOutcome(shortest, word, calls, time.monotonic() - start, peak)
+
+
+def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
+           ) -> tuple[Word | None, int | None, ProbeRecord]:
+    """One probe at bound c: (witness or None, the optimum when the method
+    knows it, probe record)."""
+    t0 = time.monotonic()
+    method = cfg.method
+    word = shortest = memory_kb = None
+    if method == "bfs":
+        res = shortest_sync_bfs(a, max_visited=cfg.max_visited)
+        if res is None:  # pair check said synchronizable; BFS must agree
+            raise SoundnessError("pair-automaton check and power-set BFS disagree")
+        word, shortest = res.witness, res.length
+        c = res.length  # BFS ignores the bound; record what it found
+    elif method.startswith("sat"):
+        cnf = satenc.encode_sat(a, c)
+        if method == "sat-internal":
+            model = satenc.solve_internal(cnf)
         else:
-            lo = mid
-    assert best_word is not None
-    # The encoding pads shorter words up to the bound; trim is not valid in
-    # general, so re-probe is unnecessary: |best_word| == hi by construction.
-    outcome = SearchOutcome(hi, best_word, calls, time.monotonic() - start)
-    outcome.peak_memory_kb = max((r.memory_kb for r in calls if r.memory_kb), default=None)
-    return _verified(a, outcome, internal=cfg.method == "sat-internal")
-
-
-def _search_opt(a: Automaton, cfg: SearchConfig, start: float) -> SearchOutcome:
-    cmd = cfg.resolved_solver_cmd()
-    if cmd is None:
-        raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
-    n = a.n
-    cap = max(1, cubic_length_bound(n)) if n > 1 else 1
-    c = min(cfg.initial_c or default_initial_bound(n), cap)
-    calls: list[ProbeRecord] = []
-    while True:
-        program = aspenc.emit(a, cfg.method, c, cfg.legacy_syntax)
-        t0 = time.monotonic()
+            result = run_external(satenc.write_dimacs(cnf), cmd, cfg.time_budget, suffix=".cnf")
+            model = parse_sat_solver_output(result.stdout)
+            memory_kb = result.memory_kb
+        if model is not None:
+            word = satenc.decode_model(a, c, model)
+    else:
+        program = aspenc.emit(a, method, c, cfg.legacy_syntax)
         result = run_external(program.text, cmd, cfg.time_budget, suffix=".lp")
-        atoms = parse_asp_solver_output(result.stdout, expect_optimum=True)
+        atoms = parse_asp_solver_output(result.stdout, expect_optimum=method.endswith("opt"))
+        memory_kb = result.memory_kb
         if atoms is not None:
             word, shortest = aspenc.decode_answer_set(program, atoms)
-            calls.append(ProbeRecord(c, "sat", result.wall_time, result.memory_kb))
-            assert shortest is not None
-            outcome = SearchOutcome(shortest, word, calls, time.monotonic() - start)
-            outcome.peak_memory_kb = max(
-                (r.memory_kb for r in calls if r.memory_kb), default=None
-            )
-            return _verified(a, outcome, internal=False)
-        calls.append(ProbeRecord(c, "unsat", result.wall_time, result.memory_kb))
-        if c >= cap:
-            raise SoundnessError(
-                f"optimization program unsatisfiable at the length bound {cap} "
-                "for a synchronizable automaton"
-            )
-        c = min(2 * c, cap)
+    verdict = "unsat" if word is None else "sat"
+    return word, shortest, ProbeRecord(c, verdict, time.monotonic() - t0, memory_kb)

@@ -7,10 +7,6 @@ from syncword.aspenc import (
     AspProgram,
     decode_answer_set,
     emit,
-    emit_asp1,
-    emit_asp1_opt,
-    emit_asp2,
-    emit_asp2_opt,
     emit_facts,
 )
 from syncword.automaton import generate_random, is_synchronizing_word
@@ -40,7 +36,7 @@ class TestEmitFacts:
 
 class TestProgramText:
     def test_asp1_rule_set(self, a1):
-        text = emit_asp1(a1, 4).text
+        text = emit(a1, "asp1", 4).text
         assert "step(1..4)." in text
         assert "1 { synchro(I,J) : symbol(J) } 1 :- step(I)." in text
         assert "path(S,1,S) :- state(S)." in text
@@ -49,13 +45,13 @@ class TestProgramText:
         assert "merged" not in text
 
     def test_asp2_rule_set(self, a1):
-        text = emit_asp2(a1, 4).text
+        text = emit(a1, "asp2", 4).text
         assert "merged(R) :- path(R,I+1,S), path(R+1,I+1,S)" in text
         assert ":- state(R), R < 3, not merged(R)." in text
         assert "sink" not in text
 
     def test_opt_rules(self, a1):
-        text = emit_asp1_opt(a1, 6).text
+        text = emit(a1, "asp1opt", 6).text
         assert "1 { shortest(L) : L = 1..6 } 1." in text
         assert "step(1..I) :- shortest(I)." in text
         assert "#minimize { L : shortest(L) }." in text
@@ -63,7 +59,7 @@ class TestProgramText:
         assert "step(1..6)." not in text  # fixed step facts replaced
 
     def test_legacy_minimize(self, a1):
-        text = emit_asp2_opt(a1, 6, legacy_syntax=True).text
+        text = emit(a1, "asp2opt", 6, legacy_syntax=True).text
         assert "#minimize [ shortest(L) = L ]." in text
 
     def test_emission_is_stable(self, a1):
@@ -76,11 +72,73 @@ class TestProgramText:
 
     def test_rejects_c_zero(self, a1):
         with pytest.raises(ValueError):
-            emit_asp1(a1, 0)
+            emit(a1, "asp1", 0)
 
     def test_facts_embedded(self, a1):
         for form in aspenc.FORMULATIONS:
             assert emit_facts(a1).rstrip("\n") in emit(a1, form, 4).text
+
+
+A1_FACTS = """\
+state(1).
+state(2).
+state(3).
+symbol(1).
+symbol(2).
+transition(1,1,2).
+transition(1,2,1).
+transition(2,1,3).
+transition(2,2,2).
+transition(3,1,1).
+transition(3,2,1).
+"""
+
+GUESS_AND_PATH = """\
+1 { synchro(I,J) : symbol(J) } 1 :- step(I).
+path(S,1,S) :- state(S).
+path(S,I+1,Q) :- path(S,I,R), synchro(I,X), transition(R,X,Q), \
+state(S), state(R), state(Q), symbol(X), step(I).
+"""
+
+MERGED = """\
+merged(R) :- path(R,I+1,S), path(R+1,I+1,S), state(S), state(R), state(R+1), step(I).
+:- state(R), R < 3, not merged(R).
+"""
+
+
+def opt_header(minimize):
+    return f"1 {{ shortest(L) : L = 1..4 }} 1.\nstep(1..I) :- shortest(I).\n{minimize}\n"
+
+
+# The complete program text for a1 at c = 4, frozen from the emitter.
+FROZEN_A1_C4 = {
+    ("asp1", False): A1_FACTS + "step(1..4).\n" + GUESS_AND_PATH + """\
+1 { sink(F) : state(F) } 1.
+:- sink(F), not path(S,5,F), state(S), state(F).
+#show synchro/2.
+#show sink/1.
+""",
+    ("asp2", False): A1_FACTS + "step(1..4).\n" + GUESS_AND_PATH + MERGED
+    + "#show synchro/2.\n",
+    ("asp1opt", False): A1_FACTS + opt_header("#minimize { L : shortest(L) }.")
+    + GUESS_AND_PATH + """\
+1 { sink(F) : state(F) } 1.
+:- sink(F), shortest(L), state(S), not path(S,L+1,F).
+#show synchro/2.
+#show sink/1.
+#show shortest/1.
+""",
+    ("asp2opt", False): A1_FACTS + opt_header("#minimize { L : shortest(L) }.")
+    + GUESS_AND_PATH + MERGED + "#show synchro/2.\n#show shortest/1.\n",
+    ("asp2opt", True): A1_FACTS + opt_header("#minimize [ shortest(L) = L ].")
+    + GUESS_AND_PATH + MERGED + "#show synchro/2.\n#show shortest/1.\n",
+}
+
+
+class TestFrozenProgramText:
+    @pytest.mark.parametrize("form,legacy", sorted(FROZEN_A1_C4))
+    def test_full_text(self, a1, form, legacy):
+        assert emit(a1, form, 4, legacy_syntax=legacy).text == FROZEN_A1_C4[form, legacy]
 
 
 def intended_answer_words(a, c):
@@ -118,7 +176,7 @@ class TestIntendedSemantics:
 
 class TestDecodeAnswerSet:
     def test_baab(self, a1):
-        p = emit_asp1(a1, 4)
+        p = emit(a1, "asp1", 4)
         word, shortest = decode_answer_set(
             p, ["synchro(1,2)", "synchro(2,1)", "synchro(3,1)", "synchro(4,2)", "sink(1)"]
         )
@@ -127,27 +185,27 @@ class TestDecodeAnswerSet:
         assert is_synchronizing_word(a1, word)
 
     def test_accepts_single_line_string(self, a1):
-        p = emit_asp2(a1, 4)
+        p = emit(a1, "asp2", 4)
         word, _ = decode_answer_set(p, "synchro(1,2) synchro(2,1) synchro(3,1) synchro(4,2)")
         assert word == (2, 1, 1, 2)
 
     def test_missing_step_atom(self, a1):
-        p = emit_asp1(a1, 4)
+        p = emit(a1, "asp1", 4)
         with pytest.raises(DecodeError, match="step 2"):
             decode_answer_set(p, ["synchro(1,2)", "synchro(3,1)", "synchro(4,2)"])
 
     def test_duplicate_step_atom(self, a1):
-        p = emit_asp1(a1, 2)
+        p = emit(a1, "asp1", 2)
         with pytest.raises(DecodeError, match="duplicate"):
             decode_answer_set(p, ["synchro(1,2)", "synchro(1,1)", "synchro(2,1)"])
 
     def test_opt_requires_shortest(self, a1):
-        p = emit_asp1_opt(a1, 6)
+        p = emit(a1, "asp1opt", 6)
         with pytest.raises(DecodeError, match="shortest"):
             decode_answer_set(p, ["synchro(1,2)"])
 
     def test_opt_truncates_to_shortest(self, a1):
-        p = emit_asp1_opt(a1, 6)
+        p = emit(a1, "asp1opt", 6)
         atoms = ["shortest(4)", "synchro(1,2)", "synchro(2,1)", "synchro(3,1)",
                  "synchro(4,2)"]
         word, shortest = decode_answer_set(p, atoms)

@@ -59,6 +59,18 @@ class TestShortest:
         monkeypatch.delenv("SYNCWORD_ASP_CMD", raising=False)
         assert cli_main(["shortest", a1_file, "--method", "asp1"]) == 3
 
+    def test_resource_cap_infra_error(self, a1_file, monkeypatch, capsys):
+        import syncword.cli as cli_mod
+        from syncword.errors import ResourceLimitError
+
+        def capped(a, cfg):
+            raise ResourceLimitError("visited-set cap of 10 subsets exceeded")
+
+        monkeypatch.setattr(cli_mod, "find_shortest", capped)
+        assert cli_main(["shortest", a1_file]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_asp_with_stub(self, a1_file, fake_asp_cmd, capsys):
         rc = cli_main(["shortest", a1_file, "--method", "asp1opt",
                        "--solver-cmd", fake_asp_cmd])
@@ -112,6 +124,17 @@ class TestDecode:
         rc = cli_main(["decode", "sat", a1_file, "-c", "4", "--model", str(model_file)])
         assert rc == 0
         assert "witness baab" in capsys.readouterr().out
+
+    def test_non_synchronizing_model_infra_error(self, a1_file, tmp_path, capsys):
+        # A well-formed model that decodes to bbbb, which does not
+        # synchronize a1: it must not be printed as a witness.
+        model_file = tmp_path / "model.txt"
+        model_file.write_text("v -1 2 -3 4 -5 6 -7 8 0\n")
+        rc = cli_main(["decode", "sat", a1_file, "-c", "4", "--model", str(model_file)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "witness" not in captured.out
+        assert captured.err.startswith("error: ")
 
 
 class TestGen:

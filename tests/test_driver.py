@@ -1,3 +1,6 @@
+import tempfile
+import time
+
 import pytest
 
 from syncword.automaton import generate_cerny, is_synchronizing_word
@@ -82,6 +85,21 @@ class TestRunExternal:
     def test_timeout(self):
         with pytest.raises(SolverError, match="timed out"):
             run_external("x", "sleep 5 # {file}", time_budget=0.2)
+
+    def test_timeout_kills_the_solver_process_group(self, tmp_path):
+        marker = tmp_path / "MARKER"
+        cmd = f"sh -c 'sleep 1; echo late > {marker}'; cat {{file}}"
+        with pytest.raises(SolverError, match="timed out"):
+            run_external("x", cmd, time_budget=0.3)
+        time.sleep(1.5)
+        assert not marker.exists()
+
+    def test_file_path_is_quoted(self, tmp_path, monkeypatch):
+        spaced = tmp_path / "dir with space"
+        spaced.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+        result = run_external("quoted-payload", "cat {file}")
+        assert result.stdout.strip() == "quoted-payload"
 
     def test_empty_output(self):
         with pytest.raises(SolverError, match="no output"):
