@@ -28,7 +28,7 @@ CSV_COLUMNS = [
     "total_time_ms",
     "probes",        # "c:verdict|c:verdict|..." (deterministic)
     "probe_times_ms",  # "t|t|..." aligned with probes (timing)
-    "memory_kb",     # peak child RSS where measurable, else empty
+    "memory_kb",     # peak RSS of the largest solver process; empty in-process
     "discarded",     # aggregate rows: non-synchronizable draws discarded
 ]
 

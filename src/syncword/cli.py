@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_NO_SYNC = 1
 EXIT_USAGE = 2
 EXIT_INFRA = 3
+TIME_BUDGET_HELP = "seconds per probe, for every method; exceeding it exits 3"
 
 
 def _load_fa(path: str):
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="bfs")
     p.add_argument("--solver-cmd", help="external solver command with a {file} placeholder")
     p.add_argument("--initial-c", type=int, help="starting bound (default: ceil(2*sqrt(n)))")
-    p.add_argument("--time-budget", type=float, help="seconds per solver call")
+    p.add_argument("--time-budget", type=float, help=TIME_BUDGET_HELP)
     p.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("greedy", help="greedy upper-bound synchronizing sequence")
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default="-", help="output path (default stdout)")
     p.add_argument("--solver-cmd")
-    p.add_argument("--time-budget", type=float)
+    p.add_argument("--time-budget", type=float, help=TIME_BUDGET_HELP)
     p.add_argument("--table", action="store_true", help="also print an aligned table to stderr")
 
     return parser

@@ -17,6 +17,7 @@ import shlex
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ class SearchConfig:
     method: str = "bfs"
     initial_c: int | None = None  # default: ceil(2*sqrt(n))
     solver_cmd: str | None = None  # template containing {file}
-    time_budget: float | None = None  # seconds per solver call
+    time_budget: float | None = None  # seconds per probe, every method
     max_visited: int | None = None  # BFS visited-set cap
     legacy_syntax: bool = False
 
@@ -85,10 +86,12 @@ class SearchOutcome:
 @dataclass
 class ExternalResult:
     stdout: str
-    stderr: str
-    returncode: int
-    wall_time: float
-    memory_kb: int | None
+    memory_kb: int  # peak RSS of the solver shell and the processes it reaped
+
+
+def _kill_group(pid: int) -> None:
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pid, signal.SIGKILL)
 
 
 def run_external(payload: str, command_template: str, time_budget: float | None = None,
@@ -106,38 +109,37 @@ def run_external(payload: str, command_template: str, time_budget: float | None 
     try:
         cmd = command_template.replace("{file}", shlex.quote(path))
         start = time.monotonic()
-        # A session of its own puts the shell and everything it starts in one
-        # process group, so a timeout can kill the solver, not just the shell.
-        proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, start_new_session=True)
-        try:
-            stdout, stderr = proc.communicate(timeout=time_budget)
-        except subprocess.TimeoutExpired as exc:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            raise SolverError(f"solver timed out after {time_budget}s: {cmd}") from exc
-        elapsed = time.monotonic() - start
-        if not stdout.strip():
-            raise SolverError(
-                f"solver produced no output (exit {proc.returncode}): {cmd}\n"
-                f"stderr: {stderr[:500]}"
-            )
-        memory_kb = _child_peak_memory_kb()
-        return ExternalResult(stdout, stderr, proc.returncode, elapsed, memory_kb)
+        with tempfile.TemporaryFile("w+") as err:
+            # A session of its own puts the shell and everything it starts in one
+            # process group, so a timeout can kill the solver, not just the shell.
+            proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE, stderr=err,
+                                    text=True, start_new_session=True)
+            timer = threading.Timer(time_budget or 0.0, _kill_group, (proc.pid,))
+            if time_budget is not None:
+                timer.start()
+            try:
+                with proc.stdout:
+                    stdout = proc.stdout.read()
+            except BaseException:  # an interrupted read must not leave the solver running
+                _kill_group(proc.pid)
+                raise
+            finally:
+                # wait4, unlike Popen.wait, returns the shell's own rusage, so
+                # the peak RSS is this solver's and not an earlier child's.
+                _, status, usage = os.wait4(proc.pid, 0)
+                timer.cancel()
+                proc.returncode = os.waitstatus_to_exitcode(status)
+            if time_budget is not None and time.monotonic() - start >= time_budget:
+                raise SolverError(f"solver timed out after {time_budget}s: {cmd}")
+            if not stdout.strip():
+                err.seek(0)
+                raise SolverError(
+                    f"solver produced no output (exit {proc.returncode}): {cmd}\n"
+                    f"stderr: {err.read(500)}"
+                )
+        return ExternalResult(stdout, usage.ru_maxrss)
     finally:
         os.unlink(path)
-
-
-def _child_peak_memory_kb() -> int | None:
-    # Max RSS of reaped children where the platform exposes it; cumulative
-    # across calls, so treat as a peak indicator, not a per-call figure.
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    except (ImportError, ValueError):
-        return None
 
 
 def parse_sat_solver_output(text: str) -> dict[int, bool] | None:
@@ -261,17 +263,19 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
     method = cfg.method
     word = shortest = memory_kb = None
     if method == "bfs":
-        res = shortest_sync_bfs(a, max_visited=cfg.max_visited)
+        res = shortest_sync_bfs(a, cfg.max_visited, cfg.time_budget)
         if res is None:  # pair check said synchronizable; BFS must agree
             raise SoundnessError("pair-automaton check and power-set BFS disagree")
         word, shortest = res.witness, res.length
         c = res.length  # BFS ignores the bound; record what it found
     elif method.startswith("sat"):
-        cnf = satenc.encode_sat(a, c)
         if method == "sat-internal":
-            model = satenc.solve_internal(cnf)
+            # Refuse before building a formula the internal solver would reject.
+            satenc.check_var_cap(satenc.VarMap(a.n, a.k, c).var_count)
+            model = satenc.solve_internal(satenc.encode_sat(a, c), time_budget=cfg.time_budget)
         else:
-            result = run_external(satenc.write_dimacs(cnf), cmd, cfg.time_budget, suffix=".cnf")
+            dimacs = satenc.write_dimacs(satenc.encode_sat(a, c))
+            result = run_external(dimacs, cmd, cfg.time_budget, suffix=".cnf")
             model = parse_sat_solver_output(result.stdout)
             memory_kb = result.memory_kb
         if model is not None:

@@ -7,6 +7,7 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -98,19 +99,21 @@ def check_synchronizable(a: Automaton) -> bool:
     return all(d >= 0 for d in dist)
 
 
-def shortest_sync_bfs(a: Automaton, max_visited: int | None = None) -> BfsResult | None:
+def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
+                      time_budget: float | None = None) -> BfsResult | None:
     """Breadth-first search over state subsets from the full set Q.
 
     Returns the certified shortest length with a witness, or None if the
     automaton is not synchronizable.  Symbols are expanded in ascending order,
     so among equal-length witnesses the lexicographically smallest is
-    returned.  `max_visited` caps the visited-set count; exceeding it raises
-    ResourceLimitError instead of thrashing.
+    returned.  Exceeding `max_visited` visited sets or `time_budget` seconds
+    raises ResourceLimitError instead of thrashing.
     """
     n = a.n
     full = _full_mask(n)
     if n == 1:
         return BfsResult(0, (), 1)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     succ = _image_tables(a)
     # parent[mask] = (previous mask, symbol); the start set maps to itself.
     parent: dict[int, tuple[int, int]] = {full: (full, 0)}
@@ -128,6 +131,8 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None) -> BfsResult
 
     while frontier:
         cur = frontier.popleft()
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimitError(f"time budget {time_budget}s exceeded during power-set BFS")
         for x in range(1, a.k + 1):
             nxt = _set_image(cur, succ[x - 1])
             if nxt in parent:

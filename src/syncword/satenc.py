@@ -10,6 +10,7 @@ search driver relies on.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from syncword.automaton import Automaton, Word
@@ -198,18 +199,26 @@ def decode_model(a: Automaton, c: int, assignment: dict[int, bool]) -> Word:
 DEFAULT_VAR_CAP = 500_000
 
 
-def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP) -> dict[int, bool] | None:
-    """Complete DPLL with unit propagation; a desk-scale verification oracle.
-
-    Deterministic: branches on the lowest unassigned variable, true first.
-    Returns a total satisfying assignment, or None for unsatisfiable.  Large
-    instances belong to an external solver; the cap guards against misuse.
-    """
-    if cnf.var_count > var_cap:
+def check_var_cap(var_count: int, var_cap: int = DEFAULT_VAR_CAP) -> None:
+    """Raise ResourceLimitError when `solve_internal` may not take the instance."""
+    if var_count > var_cap:
         raise ResourceLimitError(
-            f"{cnf.var_count} variables exceeds the internal solver cap {var_cap}; "
+            f"{var_count} variables exceeds the internal solver cap {var_cap}; "
             "use an external solver"
         )
+
+
+def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP,
+                   time_budget: float | None = None) -> dict[int, bool] | None:
+    """Complete DPLL with unit propagation; a desk-scale verification oracle.
+
+    Branches on the lowest unassigned variable, true first, and returns the
+    first total satisfying assignment in that order, or None if there is none.
+    More than `var_cap` variables or `time_budget` seconds of search raise
+    ResourceLimitError: large instances belong to an external solver.
+    """
+    check_var_cap(cnf.var_count, var_cap)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     nvars = cnf.var_count
     clauses = cnf.clauses
     # Watch lists: each clause watches two literals (one if unit).
@@ -218,16 +227,10 @@ def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP) -> dict[int
     def windex(lit: int) -> int:
         return lit + nvars
 
-    watched: list[list[int]] = []
+    watched = [[cl[0], cl[1] if len(cl) > 1 else cl[0]] for cl in clauses]
     assign: list[int] = [0] * (nvars + 1)  # 0 unknown, 1 true, -1 false
-    initial_units: list[int] = []
-    for ci, cl in enumerate(clauses):
-        if len(cl) == 1:
-            watched.append([cl[0], cl[0]])
-            initial_units.append(cl[0])
-        else:
-            watched.append([cl[0], cl[1]])
-        for lit in set(watched[ci]):
+    for ci, w in enumerate(watched):
+        for lit in set(w):
             watches[windex(lit)].append(ci)
 
     trail: list[int] = []
@@ -283,41 +286,25 @@ def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP) -> dict[int
                 i += 1
         return True
 
-    def backtrack(mark: int) -> None:
-        while len(trail) > mark:
-            assign[trail.pop()] = 0
-
-    # Iterative DPLL with an explicit decision stack.
-    if not propagate(list(initial_units)):
-        return None
-    stack: list[tuple[int, int, bool]] = []  # (var, trail mark, tried_false)
-    next_var = 1
+    # Chronological DPLL.  A conflict pops the latest decision still on its true
+    # branch and propagates its negation; the scan then resumes at that variable,
+    # since every lower one was assigned before the decision's mark.
+    decisions: list[tuple[int, int]] = []  # (var, trail mark)
+    queue = [cl[0] for cl in clauses if len(cl) == 1]
+    var = 1
     while True:
-        while next_var <= nvars and assign[next_var] != 0:
-            next_var += 1
-        if next_var > nvars:
-            return {v: assign[v] == 1 for v in range(1, nvars + 1)}
-        var = next_var
-        mark = len(trail)
-        if propagate([var]):
-            stack.append((var, mark, False))
-            continue
-        backtrack(mark)
-        # Try the false branch, unwinding decisions as needed.
-        flip = var
-        while True:
-            if propagate([-flip]):
-                stack.append((flip, mark, True))
-                next_var = 1
-                break
-            backtrack(mark)
-            # Both branches of `flip` failed; unwind to the last decision
-            # whose false branch is untried.
-            while stack:
-                pvar, pmark, tried_false = stack.pop()
-                backtrack(pmark)
-                if not tried_false:
-                    flip, mark = pvar, pmark
-                    break
-            else:
+        while not propagate(queue):
+            if not decisions:
                 return None
+            var, mark = decisions.pop()
+            while len(trail) > mark:
+                assign[trail.pop()] = 0
+            queue = [-var]
+        while var <= nvars and assign[var] != 0:
+            var += 1
+        if var > nvars:
+            return {v: assign[v] == 1 for v in range(1, nvars + 1)}
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimitError(f"time budget {time_budget}s exceeded during DPLL search")
+        decisions.append((var, len(trail)))
+        queue = [var]

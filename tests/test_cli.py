@@ -71,6 +71,14 @@ class TestShortest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_time_budget_infra_error(self, tmp_path, capsys):
+        from syncword.automaton import generate_cerny, serialize_fa
+
+        path = tmp_path / "cerny16.fa"
+        path.write_text(serialize_fa(generate_cerny(16)))
+        assert cli_main(["shortest", str(path), "--time-budget", "0.01"]) == 3
+        assert "time budget" in capsys.readouterr().err
+
     def test_asp_with_stub(self, a1_file, fake_asp_cmd, capsys):
         rc = cli_main(["shortest", a1_file, "--method", "asp1opt",
                        "--solver-cmd", fake_asp_cmd])

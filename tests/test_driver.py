@@ -1,3 +1,5 @@
+import shlex
+import sys
 import tempfile
 import time
 
@@ -11,7 +13,7 @@ from syncword.driver import (
     parse_sat_solver_output,
     run_external,
 )
-from syncword.errors import SolverError
+from syncword.errors import ResourceLimitError, SolverError
 from syncword.exact import shortest_sync_bfs
 from test_exact import synchronizable_sweep
 
@@ -72,6 +74,24 @@ class TestFindShortestInternal:
         assert outcome.length == 4
         assert outcome.calls[0].c == 1 and outcome.calls[0].verdict == "unsat"
 
+    def test_var_cap_checked_before_encoding(self, monkeypatch):
+        # Cerny 160 at the default bound c = 26 needs 691,412 variables.
+        def no_encoding(a, c):
+            raise AssertionError("the formula was built before the var cap was checked")
+
+        monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
+        with pytest.raises(ResourceLimitError, match="solver cap"):
+            find_shortest(generate_cerny(160), SearchConfig(method="sat-internal"))
+
+    @pytest.mark.parametrize("method, n, budget", [("bfs", 16, 0.01), ("sat-internal", 5, 0.2)])
+    def test_time_budget_per_probe(self, method, n, budget):
+        # Unbudgeted, BFS on Cerny 16 takes about 0.3 s and the DPLL search on
+        # Cerny 5 about 15 s; the c = 20 probe alone takes seconds.
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="time budget"):
+            find_shortest(generate_cerny(n), SearchConfig(method=method, time_budget=budget))
+        assert time.monotonic() - start < 1.0
+
 
 class TestRunExternal:
     def test_unsat_echo(self):
@@ -108,6 +128,12 @@ class TestRunExternal:
     def test_missing_placeholder(self):
         with pytest.raises(SolverError, match="placeholder"):
             run_external("x", "echo hi")
+
+    def test_memory_is_each_solvers_own_peak(self):
+        # A 200 MB solver must not leave its peak on the next, small one.
+        big = shlex.quote(sys.executable) + """ -c 'print(len(b"x" * 200_000_000))' # {file}"""
+        assert run_external("x", big).memory_kb > 150_000
+        assert run_external("small", "cat {file}").memory_kb < 100_000
 
     def test_payload_reaches_file(self):
         result = run_external("hello-payload", "cat {file}")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,16 @@ from syncword.satenc import (
     write_dimacs,
 )
 from test_exact import synchronizable_sweep
+
+
+def first_model_brute_force(nvars, clauses):
+    """The first satisfying assignment when variable 1 varies slowest and true
+    comes before false, found by scanning every assignment in that order."""
+    for m in range((1 << nvars) - 1, -1, -1):
+        bits = [None] + [bool(m >> (nvars - v) & 1) for v in range(1, nvars + 1)]
+        if all(any(bits[abs(lit)] == (lit > 0) for lit in cl) for cl in clauses):
+            return {v: bits[v] for v in range(1, nvars + 1)}
+    return None
 
 
 def expected_clause_count(n, k, c):
@@ -171,6 +182,23 @@ class TestSolveInternal:
         m = solve_internal(cnf)
         # lowest variable first, true first
         assert m == {1: True, 2: True, 3: True}
+
+    def test_first_model_in_true_first_order(self):
+        # Literals are drawn with replacement, so clauses with repeated and
+        # with complementary literals both occur.
+        rng = random.Random(7)
+        kinds = {"sat": 0, "unsat": 0, "repeated": 0, "complementary": 0}
+        for _ in range(2000):
+            nvars = rng.randint(1, 10)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, nvars)
+                        for _ in range(rng.randint(1, 3))]
+                       for _ in range(rng.randint(1, 3 * nvars))]
+            expected = first_model_brute_force(nvars, clauses)
+            assert solve_internal(CnfInstance(nvars, clauses)) == expected, clauses
+            kinds["unsat" if expected is None else "sat"] += 1
+            kinds["repeated"] += any(len(set(cl)) < len(cl) for cl in clauses)
+            kinds["complementary"] += any(-lit in cl for cl in clauses for lit in cl)
+        assert min(kinds.values()) > 500, kinds
 
     def test_var_cap(self, a1):
         with pytest.raises(ResourceLimitError):
