@@ -6,6 +6,7 @@ States are the integers 1..n and input symbols 1..k throughout; letter names
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -168,9 +169,10 @@ def parse_kiss2(text: str) -> Automaton:
     """Import a KISS2 finite state machine, stripping outputs.
 
     Transition lines have the shape "<input> <state> <next-state> <output>".
-    Symbolic inputs and states are mapped to 1..k and 1..n in order of first
-    appearance.  Machines whose transition relation is not a total
-    deterministic function over the encountered alphabet are rejected.
+    A '-' in a binary input field is a don't-care, expanded into both values.
+    Input vectors (or symbolic inputs) and states are mapped to 1..k and 1..n
+    in order of first appearance.  Machines whose transition relation is not a
+    total deterministic function over the encountered alphabet are rejected.
     """
     inputs: dict[str, int] = {}
     states: dict[str, int] = {}
@@ -192,16 +194,18 @@ def parse_kiss2(text: str) -> Automaton:
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"expected 'input state next output', got {line!r}", lineno)
-        sym, src, dst, _out = parts
-        if sym not in inputs:
-            inputs[sym] = len(inputs) + 1
-        key = (state_id(src), inputs[sym])
-        dst_id = state_id(dst)
-        if key in edges and edges[key] != dst_id:
-            raise ParseError(
-                f"nondeterministic: state {src} input {sym} has two successors", lineno
-            )
-        edges[key] = dst_id
+        cube, src, dst, _out = parts
+        src_id, dst_id = state_id(src), state_id(dst)
+        vectors = [cube]
+        if set(cube) <= set("01-"):  # each '-' bit stands for both values
+            bits = (b.replace("-", "01") for b in cube)
+            vectors = ["".join(v) for v in itertools.product(*bits)]
+        for sym in vectors:
+            key = (src_id, inputs.setdefault(sym, len(inputs) + 1))
+            if edges.setdefault(key, dst_id) != dst_id:
+                raise ParseError(
+                    f"nondeterministic: state {src} input {sym} has two successors", lineno
+                )
 
     if not edges:
         raise ParseError("no transition lines found")

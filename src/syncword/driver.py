@@ -216,35 +216,28 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     c = min(cfg.initial_c or default_initial_bound(a.n), cap)
     calls: list[ProbeRecord] = []
 
-    # Doubling phase: find a SAT upper bound.
-    unsat_c = 0
-    while True:
-        word, shortest, rec = _probe(a, c, cfg, cmd)
+    # c doubles up to the first satisfiable probe, then bisects between lo (the
+    # greatest unsatisfiable bound) and shortest (the least satisfiable one); the
+    # encoding pads shorter words, so |word| == the bound it was found at.
+    lo, shortest = 0, None
+    while shortest is None or shortest - lo > 1:
+        found, optimum, rec = _probe(a, c, cfg, cmd)
         calls.append(rec)
-        if word is not None:
+        if optimum is not None:  # BFS and the opt programs return the optimum
+            word, shortest = found, optimum
             break
-        unsat_c = c
-        if c >= cap:
+        if found is not None:
+            word, shortest = found, c
+        elif c >= cap:
             # Synchronizable automata always have a word within the cubic
             # bound; reaching it UNSAT means the encoder or solver is broken.
             raise SoundnessError(
                 f"no synchronizing word found up to the length bound {cap} "
                 "for a synchronizable automaton"
             )
-        c = min(2 * c, cap)
-
-    # Binary search for the least SAT c in (unsat_c, c].  The encoding pads
-    # shorter words up to the bound, so |word| == the bound it was found at.
-    if shortest is None:
-        lo, shortest = unsat_c, c
-        while shortest - lo > 1:
-            mid = (lo + shortest) // 2
-            mid_word, _, rec = _probe(a, mid, cfg, cmd)
-            calls.append(rec)
-            if mid_word is not None:
-                shortest, word = mid, mid_word
-            else:
-                lo = mid
+        else:
+            lo = c
+        c = min(2 * c, cap) if shortest is None else (lo + shortest) // 2
 
     if len(word) != shortest or not is_synchronizing_word(a, word):
         kind = "internal" if cmd is None else "external solver"

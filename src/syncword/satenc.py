@@ -139,14 +139,19 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(p.isdecimal() for p in parts[2:]):
                 raise ParseError(f"bad problem line {line!r}", lineno)
             var_count = int(parts[2])
             continue
         if var_count is None:
             raise ParseError("clause before problem line", lineno)
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(f"bad literal token {tok!r}", lineno) from None
+            if abs(lit) > var_count:
+                raise ParseError(f"literal {lit} out of range for {var_count} vars", lineno)
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -220,91 +225,79 @@ def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP,
     check_var_cap(cnf.var_count, var_cap)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nvars = cnf.var_count
-    clauses = cnf.clauses
-    # Watch lists: each clause watches two literals (one if unit).
-    watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+    # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;
+    # watches[lit] holds the clauses watching lit, visited when lit turns false.
+    value = [0] * (2 * nvars + 1)
+    watches: list[list[Clause]] = [[] for _ in range(2 * nvars + 1)]
+    trail: list[int] = []  # assigned literals; those from `head` on are unpropagated
+    head = 0
 
-    def windex(lit: int) -> int:
-        return lit + nvars
+    def enqueue(lit: int) -> bool:
+        # Assign lit true; False when it is already false.
+        if value[lit]:
+            return value[lit] == 1
+        value[lit], value[-lit] = 1, -1
+        trail.append(lit)
+        return True
 
-    watched = [[cl[0], cl[1] if len(cl) > 1 else cl[0]] for cl in clauses]
-    assign: list[int] = [0] * (nvars + 1)  # 0 unknown, 1 true, -1 false
-    for ci, w in enumerate(watched):
-        for lit in set(w):
-            watches[windex(lit)].append(ci)
-
-    trail: list[int] = []
-
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def propagate(queue: list[int]) -> bool:
-        # Assign every literal in the queue true, propagating units; returns
-        # False on conflict.
-        qi = 0
-        while qi < len(queue):
-            lit = queue[qi]
-            qi += 1
-            v = value(lit)
-            if v == -1:
-                return False
-            if v == 1:
-                continue
-            assign[abs(lit)] = 1 if lit > 0 else -1
-            trail.append(abs(lit))
-            false_lit = -lit
-            wl = watches[windex(false_lit)]
+    def propagate() -> bool:
+        # Propagate the trail from `head`; returns False on conflict.
+        nonlocal head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            wl = watches[false_lit]
             i = 0
             while i < len(wl):
-                ci = wl[i]
-                w = watched[ci]
-                other = w[1] if w[0] == false_lit else w[0]
-                if value(other) == 1:
+                cl = wl[i]
+                if cl[0] == false_lit:
+                    cl[0], cl[1] = cl[1], false_lit
+                if value[cl[0]] == 1:
                     i += 1
                     continue
-                # Look for a replacement watch.
-                replaced = False
-                for cand in clauses[ci]:
-                    if cand == other or cand == false_lit:
-                        continue
-                    if value(cand) != -1:
-                        if w[0] == false_lit:
-                            w[0] = cand
-                        else:
-                            w[1] = cand
-                        watches[windex(cand)].append(ci)
+                for j in range(2, len(cl)):
+                    if value[cl[j]] != -1:  # move the watch from cl[1] to cl[j]
+                        cl[1], cl[j] = cl[j], false_lit
+                        watches[cl[1]].append(cl)
                         wl[i] = wl[-1]
                         wl.pop()
-                        replaced = True
                         break
-                if replaced:
-                    continue
-                if value(other) == -1:
-                    return False
-                queue.append(other)
-                i += 1
+                else:
+                    if not enqueue(cl[0]):
+                        return False
+                    i += 1
         return True
+
+    # The solver watches its own deduplicated copy of each clause, so watch
+    # moves never touch cnf.clauses; unit clauses are assigned up front.
+    for cl in cnf.clauses:
+        cl = list(dict.fromkeys(cl))
+        if len(cl) > 1:
+            watches[cl[0]].append(cl)
+            watches[cl[1]].append(cl)
+        elif not enqueue(cl[0]):
+            return None
 
     # Chronological DPLL.  A conflict pops the latest decision still on its true
     # branch and propagates its negation; the scan then resumes at that variable,
     # since every lower one was assigned before the decision's mark.
     decisions: list[tuple[int, int]] = []  # (var, trail mark)
-    queue = [cl[0] for cl in clauses if len(cl) == 1]
     var = 1
     while True:
-        while not propagate(queue):
+        while not propagate():
             if not decisions:
                 return None
             var, mark = decisions.pop()
-            while len(trail) > mark:
-                assign[trail.pop()] = 0
-            queue = [-var]
-        while var <= nvars and assign[var] != 0:
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = 0
+            del trail[mark:]
+            head = mark
+            enqueue(-var)
+        while var <= nvars and value[var]:
             var += 1
         if var > nvars:
-            return {v: assign[v] == 1 for v in range(1, nvars + 1)}
+            return {v: value[v] == 1 for v in range(1, nvars + 1)}
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError(f"time budget {time_budget}s exceeded during DPLL search")
         decisions.append((var, len(trail)))
-        queue = [var]
+        enqueue(var)

@@ -192,6 +192,15 @@ class TestKiss2:
         with pytest.raises(ParseError):
             parse_kiss2(".i 1\n.o 1\n")
 
+    def test_dont_care_input_expands(self):
+        a = parse_kiss2(".i 1\n- s1 s2 0\n0 s2 s1 0\n1 s2 s2 1\n")
+        assert a == Automaton(2, 2, ((2, 2), (1, 2)))
+
+    def test_overlapping_cubes_with_two_targets(self):
+        with pytest.raises(ParseError, match="nondeterministic") as exc:
+            parse_kiss2(".i 2\n0- s1 s1 0\n00 s1 s2 0\n")
+        assert exc.value.line == 3
+
 
 class TestHelpers:
     def test_word_letters_round_trip(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -151,6 +152,16 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 2\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("p cnf 2 1\n1 x 0\n", 2),
+        ("p cnf two 1\n1 0\n", 1),
+        ("c three is out of range\np cnf 2 1\n1 3 0\n", 3),
+    ], ids=["bad-literal", "bad-header", "out-of-range"])
+    def test_parse_error_names_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_dimacs(text)
+        assert exc.value.line == line
+
 
 class TestDecodeModel:
     def test_exactly_one_violation(self, a1):
@@ -199,6 +210,26 @@ class TestSolveInternal:
             kinds["repeated"] += any(len(set(cl)) < len(cl) for cl in clauses)
             kinds["complementary"] += any(-lit in cl for cl in clauses for lit in cl)
         assert min(kinds.values()) > 500, kinds
+        # Clauses of 4-8 literals move watches past the third slot.
+        rng = random.Random(8)
+        verdicts = {"sat": 0, "unsat": 0}
+        for _ in range(1000):
+            nvars = rng.randint(4, 8)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, nvars)
+                        for _ in range(rng.randint(4, 8))]
+                       for _ in range(rng.randint(1, 40 * nvars))]
+            expected = first_model_brute_force(nvars, clauses)
+            assert solve_internal(CnfInstance(nvars, clauses)) == expected, clauses
+            verdicts["unsat" if expected is None else "sat"] += 1
+        assert min(verdicts.values()) > 200, verdicts
+
+    def test_leaves_clauses_unchanged(self, a1):
+        # The solver moves watches inside its own copies of the clauses.
+        for c, satisfiable in ((3, False), (4, True)):
+            cnf = encode_sat(a1, c)
+            before = copy.deepcopy(cnf.clauses)
+            assert (solve_internal(cnf) is not None) == satisfiable
+            assert cnf.clauses == before
 
     def test_var_cap(self, a1):
         with pytest.raises(ResourceLimitError):
