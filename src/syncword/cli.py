@@ -2,8 +2,8 @@
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 no synchronizing sequence, 2 usage or input error,
-3 infrastructure error: solver process, resource cap, or a witness that
-fails verification.
+3 infrastructure error: solver process or output, resource cap, or a witness
+that fails verification.
 """
 
 from __future__ import annotations

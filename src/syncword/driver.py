@@ -29,7 +29,7 @@ from syncword.automaton import (
     default_initial_bound,
     is_synchronizing_word,
 )
-from syncword.errors import SolverError, SoundnessError
+from syncword.errors import DecodeError, ParseError, SolverError, SoundnessError
 from syncword.exact import check_synchronizable, shortest_sync_bfs
 
 METHODS = ("bfs", "sat-internal", "sat-external", "asp1", "asp2", "asp1opt", "asp2opt")
@@ -44,7 +44,6 @@ class SearchConfig:
     initial_c: int | None = None  # default: ceil(2*sqrt(n))
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
-    max_visited: int | None = None  # BFS visited-set cap
     legacy_syntax: bool = False
 
     def __post_init__(self):
@@ -221,7 +220,10 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     # encoding pads shorter words, so |word| == the bound it was found at.
     lo, shortest = 0, None
     while shortest is None or shortest - lo > 1:
-        found, optimum, rec = _probe(a, c, cfg, cmd)
+        try:
+            found, optimum, rec = _probe(a, c, cfg, cmd)
+        except (ParseError, DecodeError) as exc:  # only solver output is parsed here
+            raise SolverError(f"unreadable solver output at c={c}: {exc}") from exc
         calls.append(rec)
         if optimum is not None:  # BFS and the opt programs return the optimum
             word, shortest = found, optimum
@@ -239,7 +241,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
             lo = c
         c = min(2 * c, cap) if shortest is None else (lo + shortest) // 2
 
-    if len(word) != shortest or not is_synchronizing_word(a, word):
+    if (len(word) != shortest or not all(1 <= x <= a.k for x in word)
+            or not is_synchronizing_word(a, word)):
         kind = "internal" if cmd is None else "external solver"
         raise SoundnessError(
             f"decoded witness of length {len(word)} failed re-verification ({kind} path)"
@@ -256,7 +259,7 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
     method = cfg.method
     word = shortest = memory_kb = None
     if method == "bfs":
-        res = shortest_sync_bfs(a, cfg.max_visited, cfg.time_budget)
+        res = shortest_sync_bfs(a, time_budget=cfg.time_budget)
         if res is None:  # pair check said synchronizable; BFS must agree
             raise SoundnessError("pair-automaton check and power-set BFS disagree")
         word, shortest = res.witness, res.length

@@ -1,8 +1,8 @@
 """Exact analysis: synchronizability check, power-set BFS, greedy heuristic.
 
-State subsets are bit masks (bit s-1 set means state s is in the set), so the
-n <= 64 fast path and the unbounded fallback share one code path via Python's
-arbitrary-precision integers.
+A set of states is a bit mask of any width (bit s-1 set means state s is in
+the set): a pair is a two-bit mask, a single state a one-bit mask.  One image
+table and one image loop serve the pair check, the BFS and the greedy heuristic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from syncword.automaton import Automaton, Word, apply_word, is_synchronizing_word
+from syncword.automaton import Automaton, Word, is_synchronizing_word
 from syncword.errors import ResourceLimitError
 
 
@@ -24,67 +24,49 @@ class BfsResult:
     sink: int
 
 
-def _full_mask(n: int) -> int:
-    return (1 << n) - 1
+def _image_bits(a: Automaton) -> list[list[int]]:
+    """bits[x-1][s-1] = 1 << (delta(s, x) - 1): the image of state s as a mask."""
+    return [[1 << (a.delta[s][x] - 1) for s in range(a.n)] for x in range(a.k)]
 
 
-def _image_tables(a: Automaton) -> list[list[int]]:
-    """succ[x-1][s-1] = delta(s, x) - 1, for bit-level set images."""
-    return [[a.delta[s][x] - 1 for s in range(a.n)] for x in range(a.k)]
-
-
-def _set_image(mask: int, succ: list[int]) -> int:
+def _image(mask: int, row: list[int]) -> int:
+    """Image of the state set `mask` under one symbol's row of `_image_bits`."""
     out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << succ[low.bit_length() - 1]
-        m ^= low
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
-def _pair_index(p: int, q: int, n: int) -> int:
-    # Unordered pair {p, q}, 1 <= p < q <= n, packed into 0..C(n,2)-1.
-    if p > q:
-        p, q = q, p
-    return (p - 1) * n - (p * (p - 1)) // 2 + (q - p - 1)
-
-
-def _pair_merge_bfs(a: Automaton) -> tuple[list[int], list[int]]:
+def _pair_merge_bfs(bits: list[list[int]]) -> dict[int, int]:
     """Backward BFS on the pair automaton from the merged (diagonal) pairs.
 
-    Returns (dist, sym) indexed by packed pair: dist is the length of a
-    shortest word merging the pair (-1 if none), sym the first symbol of one
-    such word.  Runs in O(n^2 * k).
+    Returns sym, keyed by the two-bit mask of every mergeable pair: the first
+    symbol of a shortest word merging the pair.  Runs in O(n^2 * k).
     """
-    n, k = a.n, a.k
-    npairs = n * (n - 1) // 2
-    dist = [-1] * npairs
-    sym = [0] * npairs
+    n = len(bits[0])
+    sym: dict[int, int] = {}
     # Backward edges: applying x to {p,q} yields {p',q'}; so from {p',q'} we
     # can reach {p,q} going backward.
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(npairs)]
+    preds: dict[int, list[tuple[int, int]]] = {}
     queue: deque[int] = deque()
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            idx = _pair_index(p, q, n)
-            for x in range(1, k + 1):
-                pp, qq = a.delta[p - 1][x - 1], a.delta[q - 1][x - 1]
-                if pp == qq:
-                    if dist[idx] == -1:
-                        dist[idx] = 1
-                        sym[idx] = x
-                        queue.append(idx)
-                else:
-                    preds[_pair_index(pp, qq, n)].append((idx, x))
+    for p in range(n):
+        for q in range(p + 1, n):
+            pair = 1 << p | 1 << q
+            for x, row in enumerate(bits, start=1):
+                img = row[p] | row[q]
+                if img & (img - 1):
+                    preds.setdefault(img, []).append((pair, x))
+                elif pair not in sym:
+                    sym[pair] = x
+                    queue.append(pair)
     while queue:
-        cur = queue.popleft()
-        for idx, x in preds[cur]:
-            if dist[idx] == -1:
-                dist[idx] = dist[cur] + 1
-                sym[idx] = x
-                queue.append(idx)
-    return dist, sym
+        for pair, x in preds.get(queue.popleft(), ()):
+            if pair not in sym:
+                sym[pair] = x
+                queue.append(pair)
+    return sym
 
 
 def check_synchronizable(a: Automaton) -> bool:
@@ -93,10 +75,7 @@ def check_synchronizable(a: Automaton) -> bool:
     An automaton is synchronizable iff every unordered state pair can be
     merged, which the pair-automaton BFS decides in O(n^2 * k).
     """
-    if a.n == 1:
-        return True
-    dist, _ = _pair_merge_bfs(a)
-    return all(d >= 0 for d in dist)
+    return len(_pair_merge_bfs(_image_bits(a))) == a.n * (a.n - 1) // 2
 
 
 def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
@@ -109,68 +88,63 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     returned.  Exceeding `max_visited` visited sets or `time_budget` seconds
     raises ResourceLimitError instead of thrashing.
     """
-    n = a.n
-    full = _full_mask(n)
-    if n == 1:
-        return BfsResult(0, (), 1)
+    full = (1 << a.n) - 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    succ = _image_tables(a)
-    # parent[mask] = (previous mask, symbol); the start set maps to itself.
-    parent: dict[int, tuple[int, int]] = {full: (full, 0)}
+    bits = _image_bits(a)
+    # parent[mask] = the mask it was first reached from; Q maps to itself.
+    parent = {full: full}
     frontier = deque([full])
-
-    def reconstruct(mask: int) -> BfsResult:
-        word: list[int] = []
-        cur = mask
-        while cur != full:
-            prev, x = parent[cur]
-            word.append(x)
-            cur = prev
-        word.reverse()
-        return BfsResult(len(word), tuple(word), mask.bit_length())
-
-    while frontier:
+    sink = full
+    while sink & (sink - 1):
+        if not frontier:
+            return None
         cur = frontier.popleft()
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError(f"time budget {time_budget}s exceeded during power-set BFS")
-        for x in range(1, a.k + 1):
-            nxt = _set_image(cur, succ[x - 1])
+        for row in bits:
+            nxt = _image(cur, row)
             if nxt in parent:
                 continue
-            parent[nxt] = (cur, x)
+            parent[nxt] = cur
             if max_visited is not None and len(parent) > max_visited:
                 raise ResourceLimitError(
                     f"visited-set cap {max_visited} exceeded during power-set BFS"
                 )
             if nxt & (nxt - 1) == 0:
-                return reconstruct(nxt)
+                sink = nxt
+                break
             frontier.append(nxt)
-    return None
+    # The least symbol mapping parent[mask] to mask is the one that reached it.
+    word: list[int] = []
+    mask = sink
+    while mask != full:
+        prev = parent[mask]
+        word.append(next(x for x, row in enumerate(bits, start=1) if _image(prev, row) == mask))
+        mask = prev
+    return BfsResult(len(word), tuple(reversed(word)), sink.bit_length())
 
 
 def greedy_sync(a: Automaton) -> Word | None:
     """Classic merge-a-pair greedy heuristic.
 
-    Repeatedly appends a shortest word merging two states of the current
-    image until a single state remains.  Each round shrinks the image by at
-    least one state and appends at most C(n,2) symbols, so the result length
-    is O(n^3).  Returns None iff the automaton is not synchronizable.
+    Repeatedly appends a shortest word merging the two lowest states of the
+    current image until a single state remains.  Each round shrinks the image
+    by at least one state and appends at most C(n,2) symbols, so the result
+    length is O(n^3).  Returns None iff the automaton is not synchronizable.
     """
-    n = a.n
-    if n == 1:
-        return ()
-    dist, sym = _pair_merge_bfs(a)
-    if any(d < 0 for d in dist):
+    bits = _image_bits(a)
+    sym = _pair_merge_bfs(bits)
+    if len(sym) < a.n * (a.n - 1) // 2:
         return None
-    image = set(range(1, n + 1))
+    image = (1 << a.n) - 1
     word: list[int] = []
-    while len(image) > 1:
-        ordered = sorted(image)
-        p, q = ordered[0], ordered[1]
-        while p != q:
-            x = sym[_pair_index(p, q, n)]
+    while image & (image - 1):
+        rest = image & (image - 1)
+        pair = image ^ (rest & (rest - 1))  # the two lowest states
+        while pair & (pair - 1):
+            x = sym[pair]
             word.append(x)
-            image = {a.delta[s - 1][x - 1] for s in image}
-            p, q = a.delta[p - 1][x - 1], a.delta[q - 1][x - 1]
+            image = _image(image, bits[x - 1])
+            pair = _image(pair, bits[x - 1])
     assert is_synchronizing_word(a, word)
     return tuple(word)

@@ -79,6 +79,22 @@ class TestShortest:
         assert cli_main(["shortest", str(path), "--time-budget", "0.01"]) == 3
         assert "time budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, output", [
+        # A symbol outside 1..k fails re-verification.
+        ("asp1opt", "Answer: 1\\nsynchro(1,7) shortest(1)\\nOPTIMUM FOUND\\n"),
+        # Two true symbol variables at step 1 do not decode.
+        ("sat-external", "s SATISFIABLE\\nv 1 2 0\\n"),
+        # A non-integer literal does not parse.
+        ("sat-external", "s SATISFIABLE\\nv 1 x 0\\n"),
+    ], ids=["asp-symbol-out-of-range", "sat-two-symbols", "sat-bad-literal"])
+    def test_unreadable_solver_output_infra_error(self, a1_file, capsys, method, output):
+        cmd = f"cat {{file}} >/dev/null; printf '{output}'"
+        rc = cli_main(["shortest", a1_file, "--method", method, "--solver-cmd", cmd])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "witness" not in captured.out
+        assert captured.err.startswith("error: ")
+
     def test_asp_with_stub(self, a1_file, fake_asp_cmd, capsys):
         rc = cli_main(["shortest", a1_file, "--method", "asp1opt",
                        "--solver-cmd", fake_asp_cmd])

@@ -13,6 +13,8 @@ from syncword.automaton import (
 from syncword.errors import ResourceLimitError
 from syncword.exact import check_synchronizable, greedy_sync, shortest_sync_bfs
 
+from conftest import A1_TEXT
+
 
 def synchronizable_sweep(count, max_n=7, max_k=3, base_seed=1000):
     """Deterministic sample of synchronizable random automata."""
@@ -101,6 +103,13 @@ class TestShortestSyncBfs:
         with pytest.raises(ResourceLimitError):
             shortest_sync_bfs(generate_cerny(8), max_visited=3)
 
+    def test_visited_cap_boundary(self):
+        # Černý 8 is solved after exactly 248 visited subsets, the full set
+        # and the singleton included.
+        assert shortest_sync_bfs(generate_cerny(8), max_visited=248).length == 49
+        with pytest.raises(ResourceLimitError):
+            shortest_sync_bfs(generate_cerny(8), max_visited=247)
+
 
 class TestGreedySync:
     def test_a1(self, a1):
@@ -113,6 +122,17 @@ class TestGreedySync:
 
     def test_not_synchronizable(self, swap):
         assert greedy_sync(swap) is None
+
+    @pytest.mark.parametrize("a, word", [
+        (parse_fa(A1_TEXT), (1, 1, 2, 1, 1, 2)),
+        (generate_cerny(5), (1, 1, 1, 1, 2) * 4),
+        (generate_random(8, 3, 5), (3, 3, 3, 3, 3, 1, 2)),
+        (generate_random(7, 2, 3), (1, 1, 2, 1, 2, 1, 1)),
+    ], ids=["a1", "cerny5", "random-8-3-5", "random-7-2-3"])
+    def test_frozen_words(self, a, word):
+        # Pins the pair order (the two lowest states first) and the symbol
+        # each pair is merged by.
+        assert greedy_sync(a) == word
 
     def test_cerny6_bounds(self):
         a = generate_cerny(6)
