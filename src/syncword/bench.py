@@ -71,7 +71,8 @@ def generate_instances(cell: BenchCell, master_seed: int, start_draw: int = 0
 
 
 def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
-              solver_cmd: str | None = None, time_budget: float | None = None) -> str:
+              solver_cmd: str | None = None, time_budget: float | None = None,
+              encoding: str = "image") -> str:
     """Run every method on every generated instance and render the CSV."""
     if not methods:
         raise ValueError("need at least one method")
@@ -93,7 +94,7 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
             lengths: dict[str, int] = {}
             for method in methods:
                 cfg = SearchConfig(method=method, solver_cmd=solver_cmd,
-                                   time_budget=time_budget)
+                                   time_budget=time_budget, encoding=encoding)
                 outcome = find_shortest(a, cfg)
                 if outcome is None:
                     raise SoundnessError(

@@ -56,11 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shortest synchronizing sequences for finite automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    encoding = argparse.ArgumentParser(add_help=False)
+    encoding.add_argument("--encoding", choices=satenc.ENCODINGS, default="image",
+                          help="SAT encoding: image sets (default) or the paper's six groups")
 
     p = sub.add_parser("check", help="is the automaton synchronizable?")
     p.add_argument("fa")
 
-    p = sub.add_parser("shortest", help="find a shortest synchronizing sequence")
+    p = sub.add_parser("shortest", parents=[encoding],
+                       help="find a shortest synchronizing sequence")
     p.add_argument("fa")
     p.add_argument("--method", choices=METHODS, default="bfs")
     p.add_argument("--solver-cmd", help="external solver command with a {file} placeholder")
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="emit a SAT or ASP encoding")
     enc_sub = p.add_subparsers(dest="target", required=True)
-    q = enc_sub.add_parser("sat")
+    q = enc_sub.add_parser("sat", parents=[encoding])
     q.add_argument("fa")
     q.add_argument("-c", type=int, required=True, dest="bound")
     q.add_argument("-o", dest="out", default="-")
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = imp_sub.add_parser("kiss")
     q.add_argument("file")
 
-    p = sub.add_parser("bench", help="seeded benchmark sweep")
+    p = sub.add_parser("bench", parents=[encoding], help="seeded benchmark sweep")
     p.add_argument("--spec", required=True, help="n:k:count[,n:k:count...]")
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--seed", type=int, required=True)
@@ -136,6 +140,7 @@ def _cmd_shortest(args) -> int:
         solver_cmd=args.solver_cmd,
         time_budget=args.time_budget,
         legacy_syntax=args.legacy_syntax,
+        encoding=args.encoding,
     )
     outcome = find_shortest(a, cfg)
     if outcome is None:
@@ -162,7 +167,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_encode(args) -> int:
     a = _load_fa(args.fa)
     if args.target == "sat":
-        text = satenc.write_dimacs(satenc.encode_sat(a, args.bound))
+        text = satenc.write_dimacs(satenc.encode_sat(a, args.bound, args.encoding))
     else:
         text = aspenc.emit(a, args.formulation, args.bound, args.legacy_syntax).text
     _emit(text, args.out)
@@ -218,8 +223,8 @@ def _parse_bench_spec(text: str) -> list[bench.BenchCell]:
 def _cmd_bench(args) -> int:
     cells = _parse_bench_spec(args.spec)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    csv_text = bench.bench_run(cells, methods, args.seed,
-                               solver_cmd=args.solver_cmd, time_budget=args.time_budget)
+    csv_text = bench.bench_run(cells, methods, args.seed, solver_cmd=args.solver_cmd,
+                               time_budget=args.time_budget, encoding=args.encoding)
     _emit(csv_text, args.csv)
     if args.table:
         print(bench.render_table(csv_text), file=sys.stderr)

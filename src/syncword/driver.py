@@ -45,10 +45,13 @@ class SearchConfig:
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
     legacy_syntax: bool = False
+    encoding: str = "image"  # SAT methods: "image" or the paper's six-group "paper"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.encoding not in satenc.ENCODINGS:
+            raise ValueError(f"unknown encoding {self.encoding!r}; expected {satenc.ENCODINGS}")
         if self.initial_c is not None and self.initial_c < 1:
             raise ValueError("initial_c must be >= 1")
 
@@ -62,7 +65,7 @@ class SearchConfig:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeRecord:
     """One probe at bound c.  `wall_time` covers the whole probe, encode
     through decode, for every method; BFS records the length it found as c."""
@@ -73,7 +76,7 @@ class ProbeRecord:
     memory_kb: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchOutcome:
     length: int
     witness: Word
@@ -82,7 +85,7 @@ class SearchOutcome:
     peak_memory_kb: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternalResult:
     stdout: str
     memory_kb: int  # peak RSS of the solver shell and the processes it reaped
@@ -267,10 +270,11 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
     elif method.startswith("sat"):
         if method == "sat-internal":
             # Refuse before building a formula the internal solver would reject.
-            satenc.check_var_cap(satenc.VarMap(a.n, a.k, c).var_count)
-            model = satenc.solve_internal(satenc.encode_sat(a, c), time_budget=cfg.time_budget)
+            satenc.check_var_cap(satenc.VarMap(a.n, a.k, c, cfg.encoding).var_count)
+            cnf = satenc.encode_sat(a, c, cfg.encoding)
+            model = satenc.solve_internal(cnf, time_budget=cfg.time_budget)
         else:
-            dimacs = satenc.write_dimacs(satenc.encode_sat(a, c))
+            dimacs = satenc.write_dimacs(satenc.encode_sat(a, c, cfg.encoding))
             result = run_external(dimacs, cmd, cfg.time_budget, suffix=".cnf")
             model = parse_sat_solver_output(result.stdout)
             memory_kb = result.memory_kb

@@ -1,10 +1,15 @@
 """SAT encoding of "a synchronizing word of length c exists", DIMACS I/O,
 model decoding, and a small internal DPLL oracle for desk-scale checks.
 
-The formula is the conjunction of six groups: exactly one symbol per step,
+Two encodings share the symbol variables X(l,x), numbered first, so one
+decoder reads both.  The default "image" encoding tracks the image set: T(l,s)
+means state s is in the image after l-1 symbols, with units T(1,s),
+T(l,s) & X(l,x) -> T(l+1,delta(s,x)), and at most one true T(c+1,.).  The
+"paper" encoding is the paper's six groups: exactly one symbol per step,
 exactly one traced state per (start state, step), initial-state units,
-transition propagation, exactly one sink, and all-states-reach-sink.  The
-decision predicate is monotone in c (images only shrink), which the binary
+transition propagation, exactly one sink, and all-states-reach-sink.  Both
+are satisfiable by exactly the X assignments that spell a synchronizing word.
+The decision predicate is monotone in c (images only shrink), which the binary
 search driver relies on.
 """
 
@@ -17,25 +22,31 @@ from syncword.automaton import Automaton, Word
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
 
 Clause = list[int]
+ENCODINGS = ("image", "paper")
 
 
 @dataclass(frozen=True)
 class VarMap:
-    """Fixed variable numbering for one (n, k, c) instance.
+    """Fixed variable numbering for one (n, k, c) instance of an encoding.
 
-    X(l,x): symbol x used at step l.
-    S(i,j,s): starting from state i, the automaton is in state s at step j
-    (j = 1 is before any symbol; j = c+1 after the whole word).
+    X(l,x): symbol x used at step l (both encodings).
+    "image": T(l,s): state s is in the image after l-1 symbols (l = 1..c+1).
+    "paper": S(i,j,s): starting from state i, the automaton is in state s at
+    step j (j = 1 is before any symbol; j = c+1 after the whole word);
     Y(i): state i is the sink.
-    The numbering is a bijection onto 1..var_count.
+    The numbering of each encoding is a bijection onto 1..var_count.
     """
 
     n: int
     k: int
     c: int
+    encoding: str = "image"
 
     def x(self, l: int, sym: int) -> int:
         return (l - 1) * self.k + sym
+
+    def t(self, l: int, state: int) -> int:
+        return self.c * self.k + (l - 1) * self.n + state
 
     def s(self, i: int, j: int, state: int) -> int:
         return self.c * self.k + ((i - 1) * (self.c + 1) + (j - 1)) * self.n + state
@@ -45,6 +56,8 @@ class VarMap:
 
     @property
     def var_count(self) -> int:
+        if self.encoding == "image":
+            return self.c * self.k + self.n * (self.c + 1)
         return self.c * self.k + self.n * self.n * (self.c + 1) + self.n
 
 
@@ -71,22 +84,37 @@ def _exactly_one(variables: list[int], out: list[Clause]) -> None:
     out.append(list(variables))
 
 
-def encode_sat(a: Automaton, c: int) -> CnfInstance:
+def encode_sat(a: Automaton, c: int, encoding: str = "image") -> CnfInstance:
     """Build the CNF that is satisfiable iff `a` has a synchronizing word of
     length c (equivalently, of length <= c, by padding monotonicity).
 
-    The traced-state exactly-one constraints cover steps 1..c+1; leaving step
-    c+1 unconstrained would let every sink check succeed vacuously.
+    In the paper encoding the traced-state exactly-one constraints cover steps
+    1..c+1; leaving step c+1 unconstrained would let every sink check succeed
+    vacuously.  The image encoding needs no at-least-one on T: the image is
+    never empty, and an extra true T(l,s) only makes the final check harder.
     """
     if c < 1:
         raise ValueError(f"bound c must be >= 1, got {c}")
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
     n, k = a.n, a.k
-    vm = VarMap(n, k, c)
+    vm = VarMap(n, k, c, encoding)
     clauses: list[Clause] = []
 
     # One input symbol per step.
     for l in range(1, c + 1):
         _exactly_one([vm.x(l, x) for x in range(1, k + 1)], clauses)
+    if encoding == "image":
+        # The image starts as every state, T(l,s) and X(l,x) put delta(s,x) in
+        # the next image, and at most one state is left after the last step.
+        clauses += [[vm.t(1, s)] for s in range(1, n + 1)]
+        for l in range(1, c + 1):
+            for s in range(1, n + 1):
+                for x in range(1, k + 1):
+                    clauses.append([-vm.t(l, s), -vm.x(l, x), vm.t(l + 1, a.delta[s - 1][x - 1])])
+        clauses += [[-vm.t(c + 1, s), -vm.t(c + 1, r)]
+                    for s in range(1, n + 1) for r in range(s + 1, n + 1)]
+        return CnfInstance(vm.var_count, clauses, vm)
     # One current state per start state and step, including the final step.
     for i in range(1, n + 1):
         for j in range(1, c + 2):
@@ -119,9 +147,12 @@ def write_dimacs(cnf: CnfInstance) -> str:
     lines: list[str] = []
     if cnf.varmap is not None:
         vm = cnf.varmap
-        lines.append(f"c syncword instance n={vm.n} k={vm.k} c={vm.c}")
-        lines.append("c vars: X(l,x)=(l-1)*k+x; S(i,j,s)=c*k+((i-1)*(c+1)+(j-1))*n+s;")
-        lines.append("c       Y(i)=c*k+n*(c+1)*n+i")
+        lines.append(f"c syncword instance n={vm.n} k={vm.k} c={vm.c} encoding={vm.encoding}")
+        if vm.encoding == "image":
+            lines.append("c vars: X(l,x)=(l-1)*k+x; T(l,s)=c*k+(l-1)*n+s, s in image after l-1")
+        else:
+            lines.append("c vars: X(l,x)=(l-1)*k+x; S(i,j,s)=c*k+((i-1)*(c+1)+(j-1))*n+s;")
+            lines.append("c       Y(i)=c*k+n*(c+1)*n+i")
     lines.append(f"p cnf {cnf.var_count} {len(cnf.clauses)}")
     for cl in cnf.clauses:
         lines.append(" ".join(str(lit) for lit in cl) + " 0")
@@ -129,12 +160,15 @@ def write_dimacs(cnf: CnfInstance) -> str:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF (round-trips with write_dimacs, minus the VarMap)."""
+    """Parse DIMACS CNF (round-trips with write_dimacs, minus the VarMap); a
+    line that is exactly "%", the trailer of SATLIB files, ends the clauses."""
     var_count = None
     clauses: list[Clause] = []
     current: Clause = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

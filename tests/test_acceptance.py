@@ -88,12 +88,13 @@ def test_criterion_2_cerny_family():
     report(2, ok and elapsed < 10.0, f"lengths={lengths}, {elapsed:.1f}s")
 
 
-def test_criterion_3_encoder_soundness_completeness(sweep200, optima200):
+@pytest.mark.parametrize("encoding", ["image", "paper"])
+def test_criterion_3_encoder_soundness_completeness(sweep200, optima200, encoding):
     disagreements = 0
     probes = 0
     for a, opt in zip(sweep200, optima200):
         for c in range(1, min(12, (a.n - 1) ** 2) + 1):
-            model = solve_internal(encode_sat(a, c))
+            model = solve_internal(encode_sat(a, c, encoding))
             probes += 1
             if (model is not None) != (opt <= c):
                 disagreements += 1
@@ -101,13 +102,15 @@ def test_criterion_3_encoder_soundness_completeness(sweep200, optima200):
                 w = decode_model(a, c, model)
                 if len(w) != c or not is_synchronizing_word(a, w):
                     disagreements += 1
-    report(3, disagreements == 0, f"{probes} probes, {disagreements} disagreements")
+    report(3, disagreements == 0,
+           f"{encoding}: {probes} probes, {disagreements} disagreements")
 
 
-def test_criterion_4_driver_agreement(sweep200, optima200):
+@pytest.mark.parametrize("encoding", ["image", "paper"])
+def test_criterion_4_driver_agreement(sweep200, optima200, encoding):
     bad = 0
     for a, opt in zip(sweep200, optima200):
-        outcome = find_shortest(a, SearchConfig(method="sat-internal"))
+        outcome = find_shortest(a, SearchConfig(method="sat-internal", encoding=encoding))
         if outcome.length != opt:
             bad += 1
             continue
@@ -116,7 +119,7 @@ def test_criterion_4_driver_agreement(sweep200, optima200):
             bad += 1
         elif outcome.length > 1 and verdicts.get(outcome.length - 1) != "unsat":
             bad += 1
-    report(4, bad == 0, f"{len(sweep200)} instances")
+    report(4, bad == 0, f"{encoding}: {len(sweep200)} instances")
 
 
 def test_criterion_5_upper_bound_invariant(sweep200, optima200):

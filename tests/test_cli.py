@@ -49,6 +49,16 @@ class TestShortest:
         assert cli_main(["shortest", a1_file, "--method", "sat-internal"]) == 0
         assert "length 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("encoding", ["image", "paper"])
+    def test_sat_encoding_flag(self, a1_file, capsys, encoding):
+        rc = cli_main(["shortest", a1_file, "--method", "sat-internal", "--encoding", encoding])
+        assert rc == 0
+        assert capsys.readouterr().out == "length 4\nwitness baab\n"
+
+    def test_unknown_encoding_usage_error(self, a1_file):
+        assert cli_main(["shortest", a1_file, "--method", "sat-internal",
+                         "--encoding", "compact"]) == 2
+
     def test_not_synchronizable_exit_1(self, swap_file):
         assert cli_main(["shortest", swap_file]) == 1
 
@@ -114,9 +124,15 @@ class TestGreedy:
 class TestEncode:
     def test_sat_to_file(self, a1_file, tmp_path, capsys):
         out = tmp_path / "a1.cnf"
-        assert cli_main(["encode", "sat", a1_file, "-c", "4", "-o", str(out)]) == 0
+        assert cli_main(["encode", "sat", a1_file, "-c", "4", "-o", str(out),
+                         "--encoding", "paper"]) == 0
         text = out.read_text()
-        assert f"p cnf {VarMap(3, 2, 4).var_count} " in text
+        assert f"p cnf {VarMap(3, 2, 4, 'paper').var_count} " in text
+
+    def test_sat_image_encoding_is_the_default(self, a1_file, capsys):
+        assert cli_main(["encode", "sat", a1_file, "-c", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "encoding=image" in out and "\np cnf 23 38\n" in out
 
     def test_asp_to_stdout(self, a1_file, capsys):
         rc = cli_main(["encode", "asp", a1_file, "--formulation", "asp2", "-c", "3"])
@@ -206,6 +222,17 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.startswith("row_type,")
         assert out.count("\ninstance,") == 4
+
+    def test_encoding_flag(self, capsys):
+        from syncword.bench import strip_timing
+
+        outputs = []
+        for encoding in ("image", "paper"):
+            rc = cli_main(["bench", "--spec", "5:2:2", "--methods", "sat-internal",
+                           "--seed", "9", "--encoding", encoding])
+            assert rc == 0
+            outputs.append(strip_timing(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_cerny_spec(self, capsys):
         rc = cli_main(["bench", "--spec", "cerny:4", "--methods", "bfs", "--seed", "0"])

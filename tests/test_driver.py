@@ -27,6 +27,10 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(initial_c=0)
 
+    def test_rejects_unknown_encoding(self):
+        with pytest.raises(ValueError, match="unknown encoding"):
+            SearchConfig(method="sat-internal", encoding="compact")
+
 
 class TestFindShortestInternal:
     def test_a1_bfs(self, a1):
@@ -75,21 +79,41 @@ class TestFindShortestInternal:
         assert outcome.calls[0].c == 1 and outcome.calls[0].verdict == "unsat"
 
     def test_var_cap_checked_before_encoding(self, monkeypatch):
-        # Cerny 160 at the default bound c = 26 needs 691,412 variables.
-        def no_encoding(a, c):
+        # Cerny 160 at the default bound c = 26 needs 691,412 paper variables.
+        def no_encoding(a, c, encoding):
             raise AssertionError("the formula was built before the var cap was checked")
 
         monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
         with pytest.raises(ResourceLimitError, match="solver cap"):
-            find_shortest(generate_cerny(160), SearchConfig(method="sat-internal"))
+            find_shortest(generate_cerny(160),
+                          SearchConfig(method="sat-internal", encoding="paper"))
+
+    def test_var_cap_checked_before_image_encoding(self, monkeypatch):
+        # Cerny 160 at c = 3200 needs 6,400 + 160 * 3,201 = 518,560 image variables.
+        def no_encoding(a, c, encoding):
+            raise AssertionError("the formula was built before the var cap was checked")
+
+        monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
+        with pytest.raises(ResourceLimitError, match="518560 variables"):
+            find_shortest(generate_cerny(160), SearchConfig(method="sat-internal", initial_c=3200))
 
     @pytest.mark.parametrize("method, n, budget", [("bfs", 16, 0.01), ("sat-internal", 5, 0.2)])
     def test_time_budget_per_probe(self, method, n, budget):
         # Unbudgeted, BFS on Cerny 16 takes about 0.3 s and the DPLL search on
-        # Cerny 5 about 15 s; the c = 20 probe alone takes seconds.
+        # the paper encoding of Cerny 5 about 15 s; the c = 20 probe alone takes
+        # seconds.  BFS ignores the encoding.
         start = time.monotonic()
         with pytest.raises(ResourceLimitError, match="time budget"):
-            find_shortest(generate_cerny(n), SearchConfig(method=method, time_budget=budget))
+            find_shortest(generate_cerny(n), SearchConfig(method=method, time_budget=budget,
+                                                          encoding="paper"))
+        assert time.monotonic() - start < 1.0
+
+    def test_time_budget_per_probe_image_encoding(self):
+        # Under the image encoding the DPLL's c = 20 probe on Cerny 6 alone
+        # takes about 18 s.
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="time budget"):
+            find_shortest(generate_cerny(6), SearchConfig(method="sat-internal", time_budget=0.2))
         assert time.monotonic() - start < 1.0
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from syncword.automaton import generate_random, is_synchronizing_word, parse_fa
+from syncword.automaton import generate_cerny, generate_random, is_synchronizing_word, parse_fa
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
 from syncword.exact import shortest_sync_bfs
 from syncword.satenc import (
@@ -42,10 +42,14 @@ def expected_clause_count(n, k, c):
     )
 
 
+def expected_image_clause_count(n, k, c):
+    return c * (math.comb(k, 2) + 1) + n + n * c * k + math.comb(n, 2)
+
+
 class TestVarMap:
     def test_numbering_is_a_bijection(self):
         for n, k, c in [(3, 2, 4), (4, 3, 2), (1, 1, 1), (5, 2, 7)]:
-            vm = VarMap(n, k, c)
+            vm = VarMap(n, k, c, "paper")
             seen = set()
             for l in range(1, c + 1):
                 for x in range(1, k + 1):
@@ -58,20 +62,53 @@ class TestVarMap:
                 seen.add(vm.y(i))
             assert seen == set(range(1, vm.var_count + 1))
 
+    def test_image_numbering_is_a_bijection(self):
+        for n, k, c in [(3, 2, 4), (4, 3, 2), (1, 1, 1), (5, 2, 7)]:
+            vm = VarMap(n, k, c)
+            seen = {vm.x(l, x) for l in range(1, c + 1) for x in range(1, k + 1)}
+            seen |= {vm.t(l, s) for l in range(1, c + 2) for s in range(1, n + 1)}
+            assert seen == set(range(1, vm.var_count + 1))
+
     def test_a1_c4_var_count(self):
-        assert VarMap(3, 2, 4).var_count == 56  # 4*2 + 9*5 + 3
+        assert VarMap(3, 2, 4, "paper").var_count == 56  # 4*2 + 9*5 + 3
 
 
 class TestEncodeSat:
     def test_var_and_clause_counts(self, a1):
-        cnf = encode_sat(a1, 4)
+        cnf = encode_sat(a1, 4, "paper")
         assert cnf.var_count == 56
         assert len(cnf.clauses) == expected_clause_count(3, 2, 4)
+
+    def test_image_var_and_clause_counts(self, a1):
+        cerny5 = generate_cerny(5)
+        for a, c, size in [(a1, 4, (23, 38)), (cerny5, 15, (110, 195)), (cerny5, 16, (117, 207))]:
+            cnf = encode_sat(a, c)
+            assert (cnf.var_count, len(cnf.clauses)) == size
 
     def test_clause_count_closed_form_on_sweep(self):
         for a in synchronizable_sweep(10, max_n=5):
             for c in (1, 3):
-                assert len(encode_sat(a, c).clauses) == expected_clause_count(a.n, a.k, c)
+                cnf = encode_sat(a, c, "paper")
+                assert len(cnf.clauses) == expected_clause_count(a.n, a.k, c)
+                assert len(encode_sat(a, c).clauses) == expected_image_clause_count(a.n, a.k, c)
+
+    def test_image_and_paper_give_the_same_word(self):
+        # The X variables come first and the DPLL branches true-first on the
+        # lowest unassigned one, so both encodings yield the same first word.
+        rng = random.Random(11)
+        found = 0
+        for _ in range(150):
+            a = generate_random(rng.randint(2, 6), rng.randint(1, 3), rng.randrange(10**6))
+            c = rng.randint(1, 6)
+            words = [None if m is None else decode_model(a, c, m)
+                     for m in (solve_internal(encode_sat(a, c, e)) for e in ("image", "paper"))]
+            assert words[0] == words[1], (a.delta, c)
+            found += words[0] is not None
+        assert 30 < found < 120, found
+
+    def test_rejects_unknown_encoding(self, a1):
+        with pytest.raises(ValueError, match="unknown encoding"):
+            encode_sat(a1, 4, "compact")
 
     def test_a1_sat_at_4_unsat_at_3(self, a1):
         model = solve_internal(encode_sat(a1, 4))
@@ -114,9 +151,9 @@ class TestSoundnessCompleteness:
         from syncword.automaton import apply_word
 
         c = 5
-        model = solve_internal(encode_sat(a1, c))
+        model = solve_internal(encode_sat(a1, c, "paper"))
         w = decode_model(a1, c, model)
-        vm = VarMap(a1.n, a1.k, c)
+        vm = VarMap(a1.n, a1.k, c, "paper")
         for i in range(1, a1.n + 1):
             for l in range(1, c + 2):
                 true_states = [
@@ -131,7 +168,7 @@ class TestDimacs:
         assert write_dimacs(cnf) == "p cnf 2 1\n1 -2 0\n"
 
     def test_header_matches_clause_count(self, a1):
-        cnf = encode_sat(a1, 4)
+        cnf = encode_sat(a1, 4, "paper")
         text = write_dimacs(cnf)
         header = next(l for l in text.splitlines() if l.startswith("p "))
         assert header == f"p cnf 56 {len(cnf.clauses)}"
@@ -156,11 +193,16 @@ class TestDimacs:
         ("p cnf 2 1\n1 x 0\n", 2),
         ("p cnf two 1\n1 0\n", 1),
         ("c three is out of range\np cnf 2 1\n1 3 0\n", 3),
-    ], ids=["bad-literal", "bad-header", "out-of-range"])
+        ("p cnf 2 1\n1 % 0\n", 2),
+    ], ids=["bad-literal", "bad-header", "out-of-range", "percent-in-clause"])
     def test_parse_error_names_line(self, text, line):
         with pytest.raises(ParseError) as exc:
             parse_dimacs(text)
         assert exc.value.line == line
+
+    def test_satlib_percent_trailer(self):
+        cnf = parse_dimacs("c uf2-01\np cnf 2 1\n1 -2 0\n%\n0\n\n")
+        assert (cnf.var_count, cnf.clauses) == (2, [[1, -2]])
 
 
 class TestDecodeModel:
