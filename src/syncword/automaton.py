@@ -63,20 +63,14 @@ def is_synchronizing_word(a: Automaton, w: Sequence[int]) -> bool:
     return len(targets) == 1
 
 
-def word_from_letters(text: str, k: int | None = None) -> Word:
+def word_from_letters(text: str) -> Word:
     """Parse a word given either as letters ("baab") or numbers ("2 1 1 2")."""
     text = text.strip()
     if not text:
         return ()
     if any(ch.isalpha() for ch in text):
-        symbols = tuple(ord(ch) - ord("a") + 1 for ch in text if not ch.isspace())
-    else:
-        symbols = tuple(int(tok) for tok in text.split())
-    if k is not None:
-        for x in symbols:
-            if not 1 <= x <= k:
-                raise ValueError(f"symbol {x} outside 1..{k}")
-    return symbols
+        return tuple(ord(ch) - ord("a") + 1 for ch in text if not ch.isspace())
+    return tuple(int(tok) for tok in text.split())
 
 
 def word_to_letters(w: Sequence[int]) -> str:
@@ -142,8 +136,6 @@ def generate_random(n: int, k: int, seed: int) -> Automaton:
     filtered here; callers that need synchronizable instances discard and
     redraw (see the benchmark harness).
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     rng = random.Random(seed)
     delta = tuple(tuple(rng.randint(1, n) for _ in range(k)) for _ in range(n))
     return Automaton(n, k, delta)
@@ -170,6 +162,7 @@ def parse_kiss2(text: str) -> Automaton:
 
     Transition lines have the shape "<input> <state> <next-state> <output>".
     A '-' in a binary input field is a don't-care, expanded into both values.
+    A '*' present state stands for every state; a '*' next state is rejected.
     Input vectors (or symbolic inputs) and states are mapped to 1..k and 1..n
     in order of first appearance.  Machines whose transition relation is not a
     total deterministic function over the encountered alphabet are rejected.
@@ -177,6 +170,7 @@ def parse_kiss2(text: str) -> Automaton:
     inputs: dict[str, int] = {}
     states: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, str, str, int]] = []  # (line, state or '*', input, next state)
 
     def state_id(name: str) -> int:
         if name not in states:
@@ -195,16 +189,25 @@ def parse_kiss2(text: str) -> Automaton:
         if len(parts) != 4:
             raise ParseError(f"expected 'input state next output', got {line!r}", lineno)
         cube, src, dst, _out = parts
-        src_id, dst_id = state_id(src), state_id(dst)
+        if dst == "*":
+            raise ParseError("a '*' next state leaves the machine partial", lineno)
+        if src != "*":
+            state_id(src)
+        dst_id = state_id(dst)
         vectors = [cube]
         if set(cube) <= set("01-"):  # each '-' bit stands for both values
             bits = (b.replace("-", "01") for b in cube)
             vectors = ["".join(v) for v in itertools.product(*bits)]
         for sym in vectors:
-            key = (src_id, inputs.setdefault(sym, len(inputs) + 1))
-            if edges.setdefault(key, dst_id) != dst_id:
+            inputs.setdefault(sym, len(inputs) + 1)
+            rows.append((lineno, src, sym, dst_id))
+
+    # Every state is known only now, so '*' rows are expanded after the scan.
+    for lineno, src, sym, dst_id in rows:
+        for name in states if src == "*" else (src,):
+            if edges.setdefault((states[name], inputs[sym]), dst_id) != dst_id:
                 raise ParseError(
-                    f"nondeterministic: state {src} input {sym} has two successors", lineno
+                    f"nondeterministic: state {name} input {sym} has two successors", lineno
                 )
 
     if not edges:

@@ -79,6 +79,8 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
     for cell in cells:
         if cell.count < 1:
             raise ValueError(f"cell ({cell.n},{cell.k}) has count {cell.count}, need >= 1")
+    configs = [SearchConfig(method=m, solver_cmd=solver_cmd, time_budget=time_budget,
+                            encoding=encoding) for m in methods]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -92,9 +94,7 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
         for idx, (inst_seed, a) in enumerate(instances):
             inst_id = f"n{cell.n}-k{cell.k}-i{idx}"
             lengths: dict[str, int] = {}
-            for method in methods:
-                cfg = SearchConfig(method=method, solver_cmd=solver_cmd,
-                                   time_budget=time_budget, encoding=encoding)
+            for method, cfg in zip(methods, configs):
                 outcome = find_shortest(a, cfg)
                 if outcome is None:
                     raise SoundnessError(

@@ -36,7 +36,6 @@ EXIT_OK = 0
 EXIT_NO_SYNC = 1
 EXIT_USAGE = 2
 EXIT_INFRA = 3
-TIME_BUDGET_HELP = "seconds per probe, for every method; exceeding it exits 3"
 
 
 def _load_fa(path: str):
@@ -59,23 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
     encoding = argparse.ArgumentParser(add_help=False)
     encoding.add_argument("--encoding", choices=satenc.ENCODINGS, default="image",
                           help="SAT encoding: image sets (default) or the paper's six groups")
+    search = argparse.ArgumentParser(add_help=False, parents=[encoding])
+    search.add_argument("--solver-cmd", help="external solver command with a {file} placeholder")
+    search.add_argument("--time-budget", type=float,
+                        help="seconds per probe, for every method; exceeding it exits 3")
 
     p = sub.add_parser("check", help="is the automaton synchronizable?")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("fa")
 
-    p = sub.add_parser("shortest", parents=[encoding],
+    p = sub.add_parser("shortest", parents=[search],
                        help="find a shortest synchronizing sequence")
+    p.set_defaults(run=_cmd_shortest)
     p.add_argument("fa")
     p.add_argument("--method", choices=METHODS, default="bfs")
-    p.add_argument("--solver-cmd", help="external solver command with a {file} placeholder")
     p.add_argument("--initial-c", type=int, help="starting bound (default: ceil(2*sqrt(n)))")
-    p.add_argument("--time-budget", type=float, help=TIME_BUDGET_HELP)
     p.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("greedy", help="greedy upper-bound synchronizing sequence")
+    p.set_defaults(run=_cmd_greedy)
     p.add_argument("fa")
 
     p = sub.add_parser("encode", help="emit a SAT or ASP encoding")
+    p.set_defaults(run=_cmd_encode)
     enc_sub = p.add_subparsers(dest="target", required=True)
     q = enc_sub.add_parser("sat", parents=[encoding])
     q.add_argument("fa")
@@ -89,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("decode", help="decode an external solver model")
+    p.set_defaults(run=_cmd_decode)
     dec_sub = p.add_subparsers(dest="target", required=True)
     q = dec_sub.add_parser("sat")
     q.add_argument("fa")
@@ -96,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True, help="file of signed literals (v-line payload)")
 
     p = sub.add_parser("gen", help="generate an automaton")
+    p.set_defaults(run=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
     q = gen_sub.add_parser("random")
     q.add_argument("-n", type=int, required=True)
@@ -107,17 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-n", type=int, required=True)
 
     p = sub.add_parser("import", help="import a KISS2 machine as native format")
+    p.set_defaults(run=_cmd_import)
     imp_sub = p.add_subparsers(dest="format", required=True)
     q = imp_sub.add_parser("kiss")
     q.add_argument("file")
 
-    p = sub.add_parser("bench", parents=[encoding], help="seeded benchmark sweep")
+    p = sub.add_parser("bench", parents=[search], help="seeded benchmark sweep")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True, help="n:k:count[,n:k:count...]")
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default="-", help="output path (default stdout)")
-    p.add_argument("--solver-cmd")
-    p.add_argument("--time-budget", type=float, help=TIME_BUDGET_HELP)
     p.add_argument("--table", action="store_true", help="also print an aligned table to stderr")
 
     return parser
@@ -231,18 +238,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "shortest": _cmd_shortest,
-    "greedy": _cmd_greedy,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "gen": _cmd_gen,
-    "import": _cmd_import,
-    "bench": _cmd_bench,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -250,7 +245,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ParseError, DecodeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

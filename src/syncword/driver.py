@@ -54,15 +54,8 @@ class SearchConfig:
             raise ValueError(f"unknown encoding {self.encoding!r}; expected {satenc.ENCODINGS}")
         if self.initial_c is not None and self.initial_c < 1:
             raise ValueError("initial_c must be >= 1")
-
-    def resolved_solver_cmd(self) -> str | None:
-        if self.solver_cmd:
-            return self.solver_cmd
-        if self.method == "sat-external":
-            return os.environ.get(SAT_CMD_ENV)
-        if self.method.startswith("asp"):
-            return os.environ.get(ASP_CMD_ENV)
-        return None
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
 
 
 @dataclass(slots=True)
@@ -203,15 +196,16 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     directly; the decision methods then binary-search the least satisfiable
     c.  The witness is re-verified before it is reported.
     """
+    start = time.monotonic()
     if not check_synchronizable(a):
         return None
-    start = time.monotonic()
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
         return SearchOutcome(0, (), [], time.monotonic() - start)
     cmd = None
     if cfg.method not in ("bfs", "sat-internal"):
-        cmd = cfg.resolved_solver_cmd()
+        env = SAT_CMD_ENV if cfg.method == "sat-external" else ASP_CMD_ENV
+        cmd = cfg.solver_cmd or os.environ.get(env)
         if cmd is None:
             raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
     cap = max(1, cubic_length_bound(a.n))

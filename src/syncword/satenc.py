@@ -42,6 +42,12 @@ class VarMap:
     c: int
     encoding: str = "image"
 
+    def __post_init__(self):
+        if self.c < 1:
+            raise ValueError(f"bound c must be >= 1, got {self.c}")
+        if self.encoding not in ENCODINGS:
+            raise ValueError(f"unknown encoding {self.encoding!r}; expected one of {ENCODINGS}")
+
     def x(self, l: int, sym: int) -> int:
         return (l - 1) * self.k + sym
 
@@ -93,10 +99,6 @@ def encode_sat(a: Automaton, c: int, encoding: str = "image") -> CnfInstance:
     vacuously.  The image encoding needs no at-least-one on T: the image is
     never empty, and an extra true T(l,s) only makes the final check harder.
     """
-    if c < 1:
-        raise ValueError(f"bound c must be >= 1, got {c}")
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
     n, k = a.n, a.k
     vm = VarMap(n, k, c, encoding)
     clauses: list[Clause] = []
@@ -172,6 +174,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if var_count is not None:
+                raise ParseError(f"second problem line {line!r}", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf" or not all(p.isdecimal() for p in parts[2:]):
                 raise ParseError(f"bad problem line {line!r}", lineno)
@@ -187,6 +191,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             if abs(lit) > var_count:
                 raise ParseError(f"literal {lit} out of range for {var_count} vars", lineno)
             if lit == 0:
+                if not current:
+                    raise ParseError("empty clause", lineno)
                 clauses.append(current)
                 current = []
             else:

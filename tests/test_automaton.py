@@ -196,6 +196,20 @@ class TestKiss2:
         a = parse_kiss2(".i 1\n- s1 s2 0\n0 s2 s1 0\n1 s2 s2 1\n")
         assert a == Automaton(2, 2, ((2, 2), (1, 2)))
 
+    def test_star_state_covers_states_named_later(self):
+        a = parse_kiss2(".i 1\n.o 1\n0 * s1 0\n1 s1 s2 0\n1 s2 s2 1\n")
+        assert a == Automaton(2, 2, ((1, 2), (1, 2)))
+
+    def test_star_state_conflicting_row(self):
+        with pytest.raises(ParseError, match="nondeterministic") as exc:
+            parse_kiss2(".i 1\n0 * s1 0\n1 s1 s2 0\n0 s2 s2 0\n1 s2 s1 0\n")
+        assert exc.value.line == 4
+
+    def test_star_next_state_rejected(self):
+        with pytest.raises(ParseError, match="'\\*' next state") as exc:
+            parse_kiss2(".i 1\n0 s1 s2 0\n1 s1 * 0\n")
+        assert exc.value.line == 3
+
     def test_overlapping_cubes_with_two_targets(self):
         with pytest.raises(ParseError, match="nondeterministic") as exc:
             parse_kiss2(".i 2\n0- s1 s1 0\n00 s1 s2 0\n")

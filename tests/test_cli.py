@@ -81,6 +81,10 @@ class TestShortest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_zero_time_budget_usage_error(self, a1_file, capsys):
+        assert cli_main(["shortest", a1_file, "--time-budget", "0"]) == 2
+        assert "time_budget must be > 0" in capsys.readouterr().err
+
     def test_time_budget_infra_error(self, tmp_path, capsys):
         from syncword.automaton import generate_cerny, serialize_fa
 
@@ -165,6 +169,13 @@ class TestDecode:
         assert rc == 0
         assert "witness baab" in capsys.readouterr().out
 
+    def test_zero_bound_usage_error(self, a1_file, tmp_path, capsys):
+        model_file = tmp_path / "model.txt"
+        model_file.write_text("v 1 0\n")
+        rc = cli_main(["decode", "sat", a1_file, "-c", "0", "--model", str(model_file)])
+        assert rc == 2
+        assert "bound c must be >= 1" in capsys.readouterr().err
+
     def test_non_synchronizing_model_infra_error(self, a1_file, tmp_path, capsys):
         # A well-formed model that decodes to bbbb, which does not
         # synchronize a1: it must not be printed as a witness.
@@ -192,6 +203,17 @@ class TestGen:
         cli_main(["gen", "random", "-n", "6", "-k", "2", "--seed", "0", "--require-sync"])
         out = capsys.readouterr().out
         assert check_synchronizable(parse_fa(out))
+
+    def test_require_sync_redraws_with_the_next_seed(self, capsys):
+        from syncword.automaton import generate_random, serialize_fa
+        from syncword.exact import check_synchronizable
+
+        assert not check_synchronizable(generate_random(5, 2, 9))
+        rc = cli_main(["gen", "random", "-n", "5", "-k", "2", "--seed", "9", "--require-sync"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == serialize_fa(generate_random(5, 2, 10))
+        assert "# drew seed 10" in captured.err
 
     def test_cerny(self, capsys):
         assert cli_main(["gen", "cerny", "-n", "4"]) == 0
@@ -238,6 +260,23 @@ class TestBench:
         rc = cli_main(["bench", "--spec", "cerny:4", "--methods", "bfs", "--seed", "0"])
         assert rc == 0
         assert ",9," in capsys.readouterr().out
+
+    def test_unknown_method_fails_before_any_solve(self, monkeypatch, capsys):
+        import syncword.bench as bench_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved before every method was checked")
+
+        monkeypatch.setattr(bench_mod, "find_shortest", no_solve)
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs,bogus", "--seed", "0"])
+        assert rc == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+
+    def test_negative_time_budget_usage_error(self, capsys):
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0",
+                       "--time-budget", "-1"])
+        assert rc == 2
+        assert "time_budget must be > 0" in capsys.readouterr().err
 
     def test_bad_spec(self):
         assert cli_main(["bench", "--spec", "5x2", "--methods", "bfs", "--seed", "0"]) == 2

@@ -31,6 +31,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="unknown encoding"):
             SearchConfig(method="sat-internal", encoding="compact")
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_time_budget(self, budget):
+        with pytest.raises(ValueError, match="time_budget must be > 0"):
+            SearchConfig(time_budget=budget)
+
 
 class TestFindShortestInternal:
     def test_a1_bfs(self, a1):
@@ -52,6 +57,18 @@ class TestFindShortestInternal:
     def test_not_synchronizable_short_circuits(self, swap):
         outcome = find_shortest(swap, SearchConfig(method="sat-internal"))
         assert outcome is None  # and no solver calls were made
+
+    def test_total_time_covers_the_pair_check(self, a1, monkeypatch):
+        import syncword.driver as driver_mod
+
+        real = driver_mod.check_synchronizable
+
+        def slow_check(a):
+            time.sleep(0.05)
+            return real(a)
+
+        monkeypatch.setattr(driver_mod, "check_synchronizable", slow_check)
+        assert find_shortest(a1, SearchConfig()).total_time >= 0.05
 
     def test_one_state(self, one_state):
         outcome = find_shortest(one_state, SearchConfig(method="sat-internal"))
@@ -239,4 +256,9 @@ class TestExternalMethods:
     def test_env_var_fallback(self, a1, fake_asp_cmd, monkeypatch):
         monkeypatch.setenv("SYNCWORD_ASP_CMD", fake_asp_cmd)
         outcome = find_shortest(a1, SearchConfig(method="asp1"))
+        assert outcome.length == 4
+
+    def test_sat_env_var_fallback(self, a1, fake_sat_cmd, monkeypatch):
+        monkeypatch.setenv("SYNCWORD_SAT_CMD", fake_sat_cmd)
+        outcome = find_shortest(a1, SearchConfig(method="sat-external"))
         assert outcome.length == 4

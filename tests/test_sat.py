@@ -194,7 +194,11 @@ class TestDimacs:
         ("p cnf two 1\n1 0\n", 1),
         ("c three is out of range\np cnf 2 1\n1 3 0\n", 3),
         ("p cnf 2 1\n1 % 0\n", 2),
-    ], ids=["bad-literal", "bad-header", "out-of-range", "percent-in-clause"])
+        ("p cnf 2 2\n1 0\n0\n", 3),
+        ("p cnf 2 2\n1 -2 0 0\n", 2),
+        ("p cnf 2 1\np cnf 3 1\n3 0\n", 2),
+    ], ids=["bad-literal", "bad-header", "out-of-range", "percent-in-clause",
+            "lone-zero", "doubled-terminator", "second-problem-line"])
     def test_parse_error_names_line(self, text, line):
         with pytest.raises(ParseError) as exc:
             parse_dimacs(text)
