@@ -69,7 +69,10 @@ def word_from_letters(text: str) -> Word:
     if not text:
         return ()
     if any(ch.isalpha() for ch in text):
-        return tuple(ord(ch) - ord("a") + 1 for ch in text if not ch.isspace())
+        word = tuple(ord(ch) - ord("a") + 1 for ch in text if not ch.isspace())
+        if not all(1 <= x <= 26 for x in word):
+            raise ValueError(f"a word in letters takes only a..z, got {text!r}")
+        return word
     return tuple(int(tok) for tok in text.split())
 
 

@@ -74,8 +74,8 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
               solver_cmd: str | None = None, time_budget: float | None = None,
               encoding: str = "image") -> str:
     """Run every method on every generated instance and render the CSV."""
-    if not methods:
-        raise ValueError("need at least one method")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"need one or more distinct methods, got {','.join(methods)!r}")
     for cell in cells:
         if cell.count < 1:
             raise ValueError(f"cell ({cell.n},{cell.k}) has count {cell.count}, need >= 1")

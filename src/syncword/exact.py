@@ -1,8 +1,8 @@
 """Exact analysis: synchronizability check, power-set BFS, greedy heuristic.
 
 A set of states is a bit mask of any width (bit s-1 set means state s is in
-the set): a pair is a two-bit mask, a single state a one-bit mask.  One image
-table and one image loop serve the pair check, the BFS and the greedy heuristic.
+the set): a pair is a two-bit mask, a single state a one-bit mask.  Pairs are
+imaged state by state (`_image_bits`), larger sets byte by byte (`_image`).
 """
 
 from __future__ import annotations
@@ -29,13 +29,21 @@ def _image_bits(a: Automaton) -> list[list[int]]:
     return [[1 << (a.delta[s][x] - 1) for s in range(a.n)] for x in range(a.k)]
 
 
-def _image(mask: int, row: list[int]) -> int:
-    """Image of the state set `mask` under one symbol's row of `_image_bits`."""
+def _byte_tables(bits: list[list[int]]) -> list[list[list[int]]]:
+    """tabs[x-1][j][m] = image under x of the states whose bits in byte j are m."""
+    tabs = [[[0] for _ in range(0, len(row), 8)] for row in bits]
+    for row, chunks in zip(bits, tabs):
+        for s, img in enumerate(row):  # state s+1 doubles its byte's table
+            chunks[s >> 3] += [m | img for m in chunks[s >> 3]]
+    return tabs
+
+
+def _image(mask: int, tabs: list[list[int]]) -> int:
+    """Image of the state set `mask` under one symbol's `_byte_tables` entry."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= row[low.bit_length() - 1]
-        mask ^= low
+    for t in tabs:
+        out |= t[mask & 255]
+        mask >>= 8
     return out
 
 
@@ -90,7 +98,7 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     """
     full = (1 << a.n) - 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    bits = _image_bits(a)
+    tabs = _byte_tables(_image_bits(a))
     # parent[mask] = the mask it was first reached from; Q maps to itself.
     parent = {full: full}
     frontier = deque([full])
@@ -101,8 +109,11 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
         cur = frontier.popleft()
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError(f"time budget {time_budget}s exceeded during power-set BFS")
-        for row in bits:
-            nxt = _image(cur, row)
+        for x_tabs in tabs:
+            nxt, m = 0, cur  # _image(cur, x_tabs), inlined
+            for t in x_tabs:
+                nxt |= t[m & 255]
+                m >>= 8
             if nxt in parent:
                 continue
             parent[nxt] = cur
@@ -119,7 +130,7 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     mask = sink
     while mask != full:
         prev = parent[mask]
-        word.append(next(x for x, row in enumerate(bits, start=1) if _image(prev, row) == mask))
+        word.append(next(x for x, t in enumerate(tabs, start=1) if _image(prev, t) == mask))
         mask = prev
     return BfsResult(len(word), tuple(reversed(word)), sink.bit_length())
 
@@ -136,6 +147,7 @@ def greedy_sync(a: Automaton) -> Word | None:
     sym = _pair_merge_bfs(bits)
     if len(sym) < a.n * (a.n - 1) // 2:
         return None
+    tabs = _byte_tables(bits)
     image = (1 << a.n) - 1
     word: list[int] = []
     while image & (image - 1):
@@ -144,7 +156,7 @@ def greedy_sync(a: Automaton) -> Word | None:
         while pair & (pair - 1):
             x = sym[pair]
             word.append(x)
-            image = _image(image, bits[x - 1])
-            pair = _image(pair, bits[x - 1])
+            image = _image(image, tabs[x - 1])
+            pair = _image(pair, tabs[x - 1])
     assert is_synchronizing_word(a, word)
     return tuple(word)

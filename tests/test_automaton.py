@@ -223,6 +223,11 @@ class TestHelpers:
         assert word_from_letters("2 1 1 2") == (2, 1, 1, 2)
         assert word_from_letters("") == ()
 
+    @pytest.mark.parametrize("text", ["B a", "ab{", "a1", "é", "a-b"])
+    def test_word_letters_outside_a_to_z_rejected(self, text):
+        with pytest.raises(ValueError, match="a..z"):
+            word_from_letters(text)
+
     def test_cubic_bound_values(self):
         # n(7n^2 + 6n - 16)/48, floored
         assert cubic_length_bound(6) == 6 * (7 * 36 + 6 * 6 - 16) // 48

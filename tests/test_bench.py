@@ -55,6 +55,10 @@ class TestBenchRun:
         with pytest.raises(ValueError):
             bench_run([BenchCell(5, 2, 1)], [], seed=0)
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="distinct methods"):
+            bench_run([BenchCell(4, 2, 1)], ["bfs", "sat-internal", "bfs"], seed=0)
+
     def test_non_timing_fields_reproducible(self):
         args = ([BenchCell(5, 2, 4), BenchCell(4, 3, 2)], ["bfs", "sat-internal"])
         first = bench_run(*args, seed=11)

@@ -272,6 +272,17 @@ class TestBench:
         assert rc == 2
         assert "unknown method 'bogus'" in capsys.readouterr().err
 
+    def test_repeated_method_fails_before_any_solve(self, monkeypatch, capsys):
+        import syncword.bench as bench_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved a bench with a repeated method")
+
+        monkeypatch.setattr(bench_mod, "find_shortest", no_solve)
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs,bfs", "--seed", "0"])
+        assert rc == 2
+        assert "distinct methods" in capsys.readouterr().err
+
     def test_negative_time_budget_usage_error(self, capsys):
         rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0",
                        "--time-budget", "-1"])

@@ -110,6 +110,41 @@ class TestShortestSyncBfs:
         with pytest.raises(ResourceLimitError):
             shortest_sync_bfs(generate_cerny(8), max_visited=247)
 
+    @pytest.mark.parametrize("a, length, witness, sink", [
+        (generate_cerny(9), 64, ((2,) + (1,) * 8) * 7 + (2,), 1),
+        (generate_cerny(17), 256, ((2,) + (1,) * 16) * 15 + (2,), 1),
+        (generate_random(9, 2, 0), 5, (2, 2, 2, 2, 2), 9),
+        (generate_random(9, 3, 1), 6, (3, 1, 3, 3, 2, 1), 2),
+        (generate_random(17, 2, 0), 9, (1, 1, 2, 1, 1, 1, 2, 2, 1), 16),
+        (generate_random(17, 3, 1), 7, (2, 1, 3, 3, 2, 1, 3), 1),
+        (generate_random(25, 2, 0), 13, (2, 2, 1, 2, 1, 1, 1, 1, 2, 1, 1, 2, 2), 24),
+        (generate_random(25, 2, 1), 14, (1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1), 1),
+    ], ids=["cerny9", "cerny17", "random-9-2-0", "random-9-3-1", "random-17-2-0",
+            "random-17-3-1", "random-25-2-0", "random-25-2-1"])
+    def test_frozen_results(self, a, length, witness, sink):
+        # Pins (length, witness, sink) on masks wider than one byte.
+        res = shortest_sync_bfs(a)
+        assert (res.length, res.witness, res.sink) == (length, witness, sink)
+
+
+class TestImageKernel:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 33])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_set_image(self, n, k):
+        import random
+
+        from syncword.exact import _byte_tables, _image, _image_bits
+
+        a = generate_random(n, k, 100 * n + k)
+        tabs = _byte_tables(_image_bits(a))
+        rng = random.Random(n * k)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]
+        for mask in masks:
+            states = [s for s in range(1, n + 1) if mask >> (s - 1) & 1]
+            for x in range(1, k + 1):
+                expected = sum(1 << (t - 1) for t in {a.delta[s - 1][x - 1] for s in states})
+                assert _image(mask, tabs[x - 1]) == expected
+
 
 class TestGreedySync:
     def test_a1(self, a1):
