@@ -92,20 +92,15 @@ def emit(a: Automaton, formulation: str, c: int, legacy_syntax: bool = False) ->
 _ATOM_RE = re.compile(r"([a-z_]+)\(([0-9,\s]+)\)")
 
 
-def decode_answer_set(p: AspProgram, atoms: str | list[str]) -> tuple[Word, int | None]:
+def decode_answer_set(p: AspProgram, atoms: list[str]) -> tuple[Word, int | None]:
     """Assemble the word from synchro atoms of one answer set.
 
-    `atoms` is the shown-atom output of a solver run: either a list of atom
-    strings or one whitespace-separated line.  For opt formulations the
+    `atoms` is the shown-atom list of a solver run.  For opt formulations the
     length is read from shortest(l) and the word truncated to l symbols.
     """
-    if isinstance(atoms, str):
-        atom_list = atoms.split()
-    else:
-        atom_list = list(atoms)
     synchro: dict[int, int] = {}
     shortest: int | None = None
-    for atom in atom_list:
+    for atom in atoms:
         m = _ATOM_RE.fullmatch(atom.strip().rstrip("."))
         if not m:
             continue

@@ -73,7 +73,10 @@ def word_from_letters(text: str) -> Word:
         if not all(1 <= x <= 26 for x in word):
             raise ValueError(f"a word in letters takes only a..z, got {text!r}")
         return word
-    return tuple(int(tok) for tok in text.split())
+    word = tuple(int(tok) for tok in text.split())
+    if min(word) < 1:
+        raise ValueError(f"a word in numbers takes symbols from 1 up, got {text!r}")
+    return word
 
 
 def word_to_letters(w: Sequence[int]) -> str:
@@ -172,7 +175,6 @@ def parse_kiss2(text: str) -> Automaton:
     """
     inputs: dict[str, int] = {}
     states: dict[str, int] = {}
-    edges: dict[tuple[int, int], int] = {}
     rows: list[tuple[int, str, str, int]] = []  # (line, state or '*', input, next state)
 
     def state_id(name: str) -> int:
@@ -206,26 +208,24 @@ def parse_kiss2(text: str) -> Automaton:
             rows.append((lineno, src, sym, dst_id))
 
     # Every state is known only now, so '*' rows are expanded after the scan.
+    if not rows:
+        raise ParseError("no transition lines found")
+    table: list[list[int | None]] = [[None] * len(inputs) for _ in states]
     for lineno, src, sym, dst_id in rows:
         for name in states if src == "*" else (src,):
-            if edges.setdefault((states[name], inputs[sym]), dst_id) != dst_id:
+            row, x = table[states[name] - 1], inputs[sym] - 1
+            if row[x] not in (None, dst_id):
                 raise ParseError(
                     f"nondeterministic: state {name} input {sym} has two successors", lineno
                 )
-
-    if not edges:
-        raise ParseError("no transition lines found")
-    n, k = len(states), len(inputs)
-    table: list[list[int | None]] = [[None] * k for _ in range(n)]
-    for (s, x), t in edges.items():
-        table[s - 1][x - 1] = t
-    for s in range(1, n + 1):
-        for x in range(1, k + 1):
-            if table[s - 1][x - 1] is None:
-                raise ParseError(
-                    f"partial machine: state #{s} has no transition on input #{x}"
-                )
-    return Automaton(n, k, tuple(tuple(row) for row in table))  # type: ignore[arg-type]
+            row[x] = dst_id
+    for s, row in enumerate(table, start=1):
+        if None in row:
+            raise ParseError(
+                f"partial machine: state #{s} has no transition on input #{row.index(None) + 1}"
+            )
+    delta = tuple(tuple(row) for row in table)
+    return Automaton(len(states), len(inputs), delta)  # type: ignore[arg-type]
 
 
 def cubic_length_bound(n: int) -> int:

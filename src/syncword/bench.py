@@ -83,17 +83,15 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
                             encoding=encoding) for m in methods]
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    aggregates: list[list[str]] = []
+    writer = csv.DictWriter(buf, CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    aggregates: list[dict] = []
     draw = 0
     for cell in cells:
         instances, discarded, draw = generate_instances(cell, seed, draw)
-        per_method_times: dict[str, list[float]] = {m: [] for m in methods}
-        per_method_lengths: dict[str, list[int]] = {m: [] for m in methods}
+        outcomes: dict[str, list[SearchOutcome]] = {m: [] for m in methods}
         for idx, (inst_seed, a) in enumerate(instances):
             inst_id = f"n{cell.n}-k{cell.k}-i{idx}"
-            lengths: dict[str, int] = {}
             for method, cfg in zip(methods, configs):
                 outcome = find_shortest(a, cfg)
                 if outcome is None:
@@ -101,38 +99,34 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
                         f"{inst_id}: instance passed the synchronizability check "
                         f"but method {method} reported not-synchronizable"
                     )
-                lengths[method] = outcome.length
-                per_method_times[method].append(outcome.total_time * 1000)
-                per_method_lengths[method].append(outcome.length)
+                outcomes[method].append(outcome)
                 writer.writerow(_instance_row(inst_id, cell, inst_seed, method, outcome))
+            lengths = {m: outs[-1].length for m, outs in outcomes.items()}
             if len(set(lengths.values())) > 1:
                 raise SoundnessError(
                     f"{inst_id}: methods disagree on shortest length: {lengths}"
                 )
-        for method in methods:
-            times = per_method_times[method]
-            lens = per_method_lengths[method]
-            aggregates.append([
-                "aggregate", "", str(cell.n), str(cell.k), str(seed), method,
-                f"{sum(lens) / len(lens):.2f}",
-                f"{sum(times) / len(times):.3f}",
-                "", "", "", str(discarded),
-            ])
-    for row in aggregates:
-        writer.writerow(row)
+        for method, outs in outcomes.items():
+            aggregates.append({
+                "row_type": "aggregate", "n": cell.n, "k": cell.k, "seed": seed,
+                "method": method, "discarded": discarded,
+                "length": f"{sum(o.length for o in outs) / len(outs):.2f}",
+                "total_time_ms": f"{sum(o.total_time * 1000 for o in outs) / len(outs):.3f}",
+            })
+    writer.writerows(aggregates)
     return buf.getvalue()
 
 
 def _instance_row(inst_id: str, cell: BenchCell, inst_seed: int, method: str,
-                  outcome: SearchOutcome) -> list[str]:
-    probes = "|".join(f"{r.c}:{r.verdict}" for r in outcome.calls)
-    probe_times = "|".join(f"{r.wall_time * 1000:.3f}" for r in outcome.calls)
-    mem = str(outcome.peak_memory_kb) if outcome.peak_memory_kb else ""
-    return [
-        "instance", inst_id, str(cell.n), str(cell.k), str(inst_seed), method,
-        str(outcome.length), f"{outcome.total_time * 1000:.3f}",
-        probes, probe_times, mem, "",
-    ]
+                  outcome: SearchOutcome) -> dict:
+    return {
+        "row_type": "instance", "instance": inst_id, "n": cell.n, "k": cell.k,
+        "seed": inst_seed, "method": method, "length": outcome.length,
+        "total_time_ms": f"{outcome.total_time * 1000:.3f}",
+        "probes": "|".join(f"{r.c}:{r.verdict}" for r in outcome.calls),
+        "probe_times_ms": "|".join(f"{r.wall_time * 1000:.3f}" for r in outcome.calls),
+        "memory_kb": outcome.peak_memory_kb or "",
+    }
 
 
 TIMING_COLUMNS = {"total_time_ms", "probe_times_ms", "memory_kb"}
@@ -140,35 +134,20 @@ TIMING_COLUMNS = {"total_time_ms", "probe_times_ms", "memory_kb"}
 
 def strip_timing(csv_text: str) -> str:
     """Blank the timing fields; what remains must be run-to-run identical."""
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = list(reader)
-    header = rows[0]
-    timing_idx = [i for i, col in enumerate(header) if col in TIMING_COLUMNS]
+    reader = csv.DictReader(io.StringIO(csv_text))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow(["" if i in timing_idx and row is not rows[0] else v
-                         for i, v in enumerate(row)])
+    writer = csv.DictWriter(out, reader.fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for row in reader:
+        writer.writerow(row | dict.fromkeys(TIMING_COLUMNS, ""))
     return out.getvalue()
 
 
+TABLE_COLUMNS = ["n", "k", "method", "length", "total_time_ms", "discarded"]
+
+
 def render_table(csv_text: str) -> str:
-    """Human-readable aligned view of the aggregate rows."""
-    reader = csv.DictReader(io.StringIO(csv_text))
-    rows = [r for r in reader if r["row_type"] == "aggregate"]
-    methods = sorted({r["method"] for r in rows})
-    cells = sorted({(int(r["n"]), int(r["k"])) for r in rows})
-    by_key = {(int(r["n"]), int(r["k"]), r["method"]): r for r in rows}
-    header = ["n", "k"] + methods + ["discarded"]
-    lines = ["  ".join(f"{h:>12}" for h in header)]
-    for n, k in cells:
-        vals = [str(n), str(k)]
-        discarded = ""
-        for m in methods:
-            r = by_key.get((n, k, m))
-            vals.append(r["total_time_ms"] if r else "-")
-            if r:
-                discarded = r["discarded"]
-        vals.append(discarded)
-        lines.append("  ".join(f"{v:>12}" for v in vals))
-    return "\n".join(lines) + "\n"
+    """Human-readable aligned view: one line per aggregate row, in CSV order."""
+    rows = [r for r in csv.DictReader(io.StringIO(csv_text)) if r["row_type"] == "aggregate"]
+    lines = [TABLE_COLUMNS] + [[r[c] for c in TABLE_COLUMNS] for r in rows]
+    return "".join("  ".join(f"{v:>13}" for v in line) + "\n" for line in lines)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from syncword import aspenc, bench, satenc
 from syncword.automaton import (
+    Word,
     generate_cerny,
     generate_random,
     is_synchronizing_word,
@@ -23,13 +24,7 @@ from syncword.automaton import (
     word_to_letters,
 )
 from syncword.driver import METHODS, SearchConfig, find_shortest
-from syncword.errors import (
-    DecodeError,
-    ParseError,
-    ResourceLimitError,
-    SolverError,
-    SoundnessError,
-)
+from syncword.errors import ResourceLimitError, SolverError, SoundnessError
 from syncword.exact import check_synchronizable, greedy_sync
 
 EXIT_OK = 0
@@ -38,15 +33,35 @@ EXIT_USAGE = 2
 EXIT_INFRA = 3
 
 
+def _file(path: str, text: str | None = None) -> str | None:
+    """Read a file the user named, or write `text` to it; OSError is a usage error."""
+    try:
+        if text is None:
+            return Path(path).read_text()
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(exc) from exc
+    return None
+
+
 def _load_fa(path: str):
-    return parse_fa(Path(path).read_text())
+    return parse_fa(_file(path))
 
 
 def _emit(text: str, out: str | None) -> None:
     if out and out != "-":
-        Path(out).write_text(text)
+        _file(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _print_word(word: Word | None) -> int:
+    if word is None:
+        print("not synchronizable")
+        return EXIT_NO_SYNC
+    print(f"length {len(word)}")
+    print(f"witness {word_to_letters(word)}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,25 +165,13 @@ def _cmd_shortest(args) -> int:
         encoding=args.encoding,
     )
     outcome = find_shortest(a, cfg)
-    if outcome is None:
-        print("not synchronizable")
-        return EXIT_NO_SYNC
-    print(f"length {outcome.length}")
-    print(f"witness {word_to_letters(outcome.witness)}")
-    for rec in outcome.calls:
+    for rec in outcome.calls if outcome else ():
         print(f"probe c={rec.c} {rec.verdict} {rec.wall_time * 1000:.1f}ms", file=sys.stderr)
-    return EXIT_OK
+    return _print_word(outcome.witness if outcome else None)
 
 
 def _cmd_greedy(args) -> int:
-    a = _load_fa(args.fa)
-    word = greedy_sync(a)
-    if word is None:
-        print("not synchronizable")
-        return EXIT_NO_SYNC
-    print(f"length {len(word)}")
-    print(f"witness {word_to_letters(word)}")
-    return EXIT_OK
+    return _print_word(greedy_sync(_load_fa(args.fa)))
 
 
 def _cmd_encode(args) -> int:
@@ -183,7 +186,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     a = _load_fa(args.fa)
-    model = satenc.parse_model_literals(Path(args.model).read_text())
+    model = satenc.parse_model_literals(_file(args.model))
     word = satenc.decode_model(a, args.bound, model)
     if not is_synchronizing_word(a, word):
         raise SoundnessError(f"decoded witness {word_to_letters(word)} does not synchronize")
@@ -209,8 +212,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    a = parse_kiss2(Path(args.file).read_text())
-    sys.stdout.write(serialize_fa(a))
+    sys.stdout.write(serialize_fa(parse_kiss2(_file(args.file))))
     return EXIT_OK
 
 
@@ -246,7 +248,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ParseError, DecodeError, ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:  # ParseError and DecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, SoundnessError, ResourceLimitError, OSError) as exc:

@@ -56,6 +56,8 @@ class SearchConfig:
             raise ValueError("initial_c must be >= 1")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
+        if self.solver_cmd is not None and "{file}" not in self.solver_cmd:
+            raise ValueError(f"solver command {self.solver_cmd!r} lacks a {{file}} placeholder")
 
 
 @dataclass(slots=True)
@@ -110,8 +112,8 @@ def run_external(payload: str, command_template: str, time_budget: float | None 
             proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE, stderr=err,
                                     text=True, start_new_session=True)
             timer = threading.Timer(time_budget or 0.0, _kill_group, (proc.pid,))
-            if time_budget is not None:
-                timer.start()
+            if time_budget is not None and time_budget <= threading.TIMEOUT_MAX:
+                timer.start()  # a larger budget, inf among them, sets no limit
             try:
                 with proc.stdout:
                     stdout = proc.stdout.read()

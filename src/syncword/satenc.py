@@ -244,25 +244,24 @@ def decode_model(a: Automaton, c: int, assignment: dict[int, bool]) -> Word:
 DEFAULT_VAR_CAP = 500_000
 
 
-def check_var_cap(var_count: int, var_cap: int = DEFAULT_VAR_CAP) -> None:
+def check_var_cap(var_count: int) -> None:
     """Raise ResourceLimitError when `solve_internal` may not take the instance."""
-    if var_count > var_cap:
+    if var_count > DEFAULT_VAR_CAP:
         raise ResourceLimitError(
-            f"{var_count} variables exceeds the internal solver cap {var_cap}; "
+            f"{var_count} variables exceeds the internal solver cap {DEFAULT_VAR_CAP}; "
             "use an external solver"
         )
 
 
-def solve_internal(cnf: CnfInstance, var_cap: int = DEFAULT_VAR_CAP,
-                   time_budget: float | None = None) -> dict[int, bool] | None:
+def solve_internal(cnf: CnfInstance, time_budget: float | None = None) -> dict[int, bool] | None:
     """Complete DPLL with unit propagation; a desk-scale verification oracle.
 
     Branches on the lowest unassigned variable, true first, and returns the
     first total satisfying assignment in that order, or None if there is none.
-    More than `var_cap` variables or `time_budget` seconds of search raise
+    More than DEFAULT_VAR_CAP variables or `time_budget` seconds of search raise
     ResourceLimitError: large instances belong to an external solver.
     """
-    check_var_cap(cnf.var_count, var_cap)
+    check_var_cap(cnf.var_count)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nvars = cnf.var_count
     # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;

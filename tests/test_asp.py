@@ -186,7 +186,8 @@ class TestDecodeAnswerSet:
 
     def test_accepts_single_line_string(self, a1):
         p = emit(a1, "asp2", 4)
-        word, _ = decode_answer_set(p, "synchro(1,2) synchro(2,1) synchro(3,1) synchro(4,2)")
+        line = "synchro(1,2) synchro(2,1) synchro(3,1) synchro(4,2)"
+        word, _ = decode_answer_set(p, line.split())
         assert word == (2, 1, 1, 2)
 
     def test_missing_step_atom(self, a1):
@@ -198,6 +199,23 @@ class TestDecodeAnswerSet:
         p = emit(a1, "asp1", 2)
         with pytest.raises(DecodeError, match="duplicate"):
             decode_answer_set(p, ["synchro(1,2)", "synchro(1,1)", "synchro(2,1)"])
+
+    def test_bad_synchro_arity(self, a1):
+        p = emit(a1, "asp1", 2)
+        with pytest.raises(DecodeError) as exc:
+            decode_answer_set(p, ["synchro(1)", "synchro(2,1)"])
+        assert str(exc.value) == "bad synchro atom 'synchro(1)'"
+
+    def test_duplicate_shortest_atom(self, a1):
+        p = emit(a1, "asp1opt", 2)
+        with pytest.raises(DecodeError) as exc:
+            decode_answer_set(p, ["shortest(1)", "shortest(2)", "synchro(1,1)"])
+        assert str(exc.value) == "bad or duplicate shortest atom 'shortest(2)'"
+
+    def test_foreign_atoms_ignored(self, a1):
+        p = emit(a1, "asp1", 2)
+        atoms = ["sink(1)", "path(1,2,3)", "noise", "synchro(1,2)", "synchro(2,1)"]
+        assert decode_answer_set(p, atoms) == ((2, 1), None)
 
     def test_opt_requires_shortest(self, a1):
         p = emit(a1, "asp1opt", 6)

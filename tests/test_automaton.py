@@ -106,6 +106,20 @@ class TestParseFa:
         with pytest.raises(ParseError):
             parse_fa("3\n")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("2 1\n2\nx\n", "line 3: non-integer token in 'x'", 3),
+        ("0 2\n", "line 1: need n >= 1 and k >= 1, got n=0, k=2", 1),
+        ("# no header\n\n", "empty input, expected 'n k' header", None),
+    ], ids=["non-integer", "n-below-1", "empty"])
+    def test_rejected_input_message(self, text, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_fa(text)
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+    def test_short_row_rejected_by_automaton(self):
+        with pytest.raises(ValueError, match="^state 2: row has 1 entries, expected 2$"):
+            Automaton(2, 2, ((1, 2), (1,)))
+
     def test_comments_and_blank_lines(self):
         a = parse_fa("# comment\n\n3 2\n2 1\n3 2\n1 1\n")
         assert serialize_fa(a) == A1_TEXT
@@ -210,6 +224,12 @@ class TestKiss2:
             parse_kiss2(".i 1\n0 s1 s2 0\n1 s1 * 0\n")
         assert exc.value.line == 3
 
+    def test_line_without_four_fields(self):
+        with pytest.raises(ParseError) as exc:
+            parse_kiss2(".i 1\n0 a b\n")
+        assert str(exc.value) == "line 2: expected 'input state next output', got '0 a b'"
+        assert exc.value.line == 2
+
     def test_overlapping_cubes_with_two_targets(self):
         with pytest.raises(ParseError, match="nondeterministic") as exc:
             parse_kiss2(".i 2\n0- s1 s1 0\n00 s1 s2 0\n")
@@ -226,6 +246,11 @@ class TestHelpers:
     @pytest.mark.parametrize("text", ["B a", "ab{", "a1", "é", "a-b"])
     def test_word_letters_outside_a_to_z_rejected(self, text):
         with pytest.raises(ValueError, match="a..z"):
+            word_from_letters(text)
+
+    @pytest.mark.parametrize("text", ["0 -3", "2 0 1", "-1"])
+    def test_word_numbers_below_one_rejected(self, text):
+        with pytest.raises(ValueError, match="from 1 up"):
             word_from_letters(text)
 
     def test_cubic_bound_values(self):

@@ -76,6 +76,15 @@ class TestBenchRun:
         mean_time = sum(float(r["total_time_ms"]) for r in inst) / len(inst)
         assert float(agg["total_time_ms"]) == pytest.approx(mean_time, abs=0.005)
 
+    def test_not_synchronizable_outcome_aborts(self, monkeypatch):
+        import syncword.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "find_shortest", lambda a, cfg: None)
+        with pytest.raises(SoundnessError) as exc:
+            bench_run([BenchCell(4, 2, 1)], ["bfs"], seed=0)
+        assert str(exc.value) == ("n4-k2-i0: instance passed the synchronizability check "
+                                  "but method bfs reported not-synchronizable")
+
     def test_disagreement_aborts(self, monkeypatch):
         # Force one method to lie about the length.
         import syncword.bench as bench_mod
@@ -99,6 +108,18 @@ class TestRendering:
         text = bench_run([BenchCell(5, 2, 2)], ["bfs"], seed=1)
         table = render_table(text)
         assert "bfs" in table and "5" in table
+
+    def test_table_has_one_line_per_aggregate_row(self):
+        # Cerny 4 and the random 4:2 cell share (n, k) but stay two cells.
+        cells = [BenchCell(4, 2, 1, family="cerny"), BenchCell(4, 2, 2)]
+        text = strip_timing(bench_run(cells, ["bfs", "sat-internal"], seed=3))
+        assert [line.split() for line in render_table(text).splitlines()] == [
+            ["n", "k", "method", "length", "total_time_ms", "discarded"],
+            ["4", "2", "bfs", "9.00", "0"],
+            ["4", "2", "sat-internal", "9.00", "0"],
+            ["4", "2", "bfs", "2.50", "0"],
+            ["4", "2", "sat-internal", "2.50", "0"],
+        ]
 
     def test_strip_timing_blanks_only_timing(self):
         text = bench_run([BenchCell(4, 2, 1)], ["bfs"], seed=1)

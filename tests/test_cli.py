@@ -81,6 +81,17 @@ class TestShortest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_solver_cmd_without_placeholder_usage_error(self, a1_file, monkeypatch, capsys):
+        import syncword.cli as cli_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved with a solver command that names no file")
+
+        monkeypatch.setattr(cli_mod, "find_shortest", no_solve)
+        rc = cli_main(["shortest", a1_file, "--method", "sat-external", "--solver-cmd", "echo hi"])
+        assert rc == 2
+        assert "lacks a {file} placeholder" in capsys.readouterr().err
+
     def test_zero_time_budget_usage_error(self, a1_file, capsys):
         assert cli_main(["shortest", a1_file, "--time-budget", "0"]) == 2
         assert "time_budget must be > 0" in capsys.readouterr().err
@@ -283,6 +294,18 @@ class TestBench:
         assert rc == 2
         assert "distinct methods" in capsys.readouterr().err
 
+    def test_solver_cmd_without_placeholder_fails_before_any_solve(self, monkeypatch, capsys):
+        import syncword.bench as bench_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved before the solver command was checked")
+
+        monkeypatch.setattr(bench_mod, "find_shortest", no_solve)
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs,sat-external",
+                       "--seed", "0", "--solver-cmd", "echo hi"])
+        assert rc == 2
+        assert "lacks a {file} placeholder" in capsys.readouterr().err
+
     def test_negative_time_budget_usage_error(self, capsys):
         rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0",
                        "--time-budget", "-1"])
@@ -299,6 +322,24 @@ class TestBench:
         assert rc == 0
         assert out.read_text().startswith("row_type,")
         assert "bfs" in capsys.readouterr().err
+
+
+class TestUserPaths:
+    @pytest.mark.parametrize("argv", [
+        ["check", "{dir}"],
+        ["shortest", "{dir}"],
+        ["encode", "sat", "{fa}", "-c", "4", "-o", "{dir}"],
+        ["encode", "asp", "{fa}", "--formulation", "asp1", "-c", "4", "-o", "{dir}"],
+        ["decode", "sat", "{fa}", "-c", "4", "--model", "{dir}"],
+        ["import", "kiss", "{dir}"],
+        ["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0", "--csv", "{dir}"],
+    ], ids=["check", "shortest", "encode-sat-out", "encode-asp-out", "decode-model",
+            "import-kiss", "bench-csv"])
+    def test_directory_is_a_usage_error(self, argv, a1_file, tmp_path, capsys):
+        argv = [arg.format(fa=a1_file, dir=tmp_path) for arg in argv]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
 
 
 class TestUsage:

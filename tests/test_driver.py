@@ -1,6 +1,7 @@
 import shlex
 import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from syncword.driver import (
     parse_sat_solver_output,
     run_external,
 )
-from syncword.errors import ResourceLimitError, SolverError
+from syncword.errors import ResourceLimitError, SolverError, SoundnessError
 from syncword.exact import shortest_sync_bfs
 from test_exact import synchronizable_sweep
 
@@ -30,6 +31,10 @@ class TestSearchConfig:
     def test_rejects_unknown_encoding(self):
         with pytest.raises(ValueError, match="unknown encoding"):
             SearchConfig(method="sat-internal", encoding="compact")
+
+    def test_rejects_solver_cmd_without_placeholder(self):
+        with pytest.raises(ValueError, match="lacks a {file} placeholder"):
+            SearchConfig(method="sat-external", solver_cmd="echo hi")
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_time_budget(self, budget):
@@ -53,6 +58,20 @@ class TestFindShortestInternal:
             (2, "unsat"),
             (3, "unsat"),
         ]
+
+    def test_unsat_up_to_the_cubic_bound_is_a_soundness_error(self, a1, monkeypatch):
+        # cubic_length_bound(3) = 4, so the first probe at c = 4 is already the last.
+        monkeypatch.setattr("syncword.satenc.solve_internal", lambda cnf, time_budget: None)
+        with pytest.raises(SoundnessError) as exc:
+            find_shortest(a1, SearchConfig(method="sat-internal"))
+        assert str(exc.value) == ("no synchronizing word found up to the length bound 4 "
+                                  "for a synchronizable automaton")
+
+    def test_bfs_disagreeing_with_the_pair_check(self, a1, monkeypatch):
+        monkeypatch.setattr("syncword.driver.shortest_sync_bfs", lambda a, time_budget: None)
+        with pytest.raises(SoundnessError) as exc:
+            find_shortest(a1, SearchConfig(method="bfs"))
+        assert str(exc.value) == "pair-automaton check and power-set BFS disagree"
 
     def test_not_synchronizable_short_circuits(self, swap):
         outcome = find_shortest(swap, SearchConfig(method="sat-internal"))
@@ -165,6 +184,25 @@ class TestRunExternal:
     def test_empty_output(self):
         with pytest.raises(SolverError, match="no output"):
             run_external("x", "true # {file}")
+
+    def test_budget_beyond_the_timer_sets_no_limit(self, monkeypatch):
+        # A timer cannot wait longer than threading.TIMEOUT_MAX; one started with
+        # such a budget raises OverflowError in its own thread.
+        timers, failures = [], []
+
+        class RecordingTimer(threading.Timer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                timers.append(self)
+
+        monkeypatch.setattr(threading, "Timer", RecordingTimer)
+        monkeypatch.setattr(threading, "excepthook", failures.append)
+        for budget in (float("inf"), 1e300):
+            assert run_external("x", "cat {file}", budget).stdout == "x"
+        for timer in timers:
+            if timer.ident is not None:
+                timer.join()
+        assert len(timers) == 2 and failures == []
 
     def test_missing_placeholder(self):
         with pytest.raises(SolverError, match="placeholder"):

@@ -8,6 +8,7 @@ from syncword.automaton import generate_cerny, generate_random, is_synchronizing
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
 from syncword.exact import shortest_sync_bfs
 from syncword.satenc import (
+    DEFAULT_VAR_CAP,
     CnfInstance,
     VarMap,
     decode_model,
@@ -162,6 +163,18 @@ class TestSoundnessCompleteness:
                 assert true_states == [apply_word(a1, i, w[: l - 1])]
 
 
+class TestCnfInstance:
+    @pytest.mark.parametrize("var_count, clauses, message", [
+        (2, [[3]], "literal 3 out of range for 2 vars"),
+        (2, [[1, 0]], "literal 0 out of range for 2 vars"),
+        (1, [[]], "empty clause at construction"),
+    ], ids=["above-range", "zero", "empty-clause"])
+    def test_rejected(self, var_count, clauses, message):
+        with pytest.raises(ValueError) as exc:
+            CnfInstance(var_count, clauses)
+        assert str(exc.value) == message
+
+
 class TestDimacs:
     def test_trivial_format(self):
         cnf = CnfInstance(2, [[1, -2]])
@@ -203,6 +216,12 @@ class TestDimacs:
         with pytest.raises(ParseError) as exc:
             parse_dimacs(text)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", ["", "c comments only\n"])
+    def test_parse_requires_problem_line(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_dimacs(text)
+        assert (str(exc.value), exc.value.line) == ("missing problem line", None)
 
     def test_satlib_percent_trailer(self):
         cnf = parse_dimacs("c uf2-01\np cnf 2 1\n1 -2 0\n%\n0\n\n")
@@ -277,9 +296,9 @@ class TestSolveInternal:
             assert (solve_internal(cnf) is not None) == satisfiable
             assert cnf.clauses == before
 
-    def test_var_cap(self, a1):
+    def test_var_cap(self):
         with pytest.raises(ResourceLimitError):
-            solve_internal(encode_sat(a1, 4), var_cap=10)
+            solve_internal(CnfInstance(DEFAULT_VAR_CAP + 1, [[1]]))
 
     def test_total_assignment(self, a1):
         cnf = encode_sat(a1, 4)
