@@ -104,7 +104,10 @@ def decode_answer_set(p: AspProgram, atoms: list[str]) -> tuple[Word, int | None
         m = _ATOM_RE.fullmatch(atom.strip().rstrip("."))
         if not m:
             continue
-        name, args = m.group(1), [int(v) for v in m.group(2).split(",")]
+        try:
+            name, args = m.group(1), [int(v) for v in m.group(2).split(",")]
+        except ValueError:  # an empty argument, as in synchro(1,)
+            raise DecodeError(f"bad atom {atom!r}") from None
         if name == "synchro":
             if len(args) != 2:
                 raise DecodeError(f"bad synchro atom {atom!r}")

@@ -19,7 +19,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from syncword import aspenc, satenc
 from syncword.automaton import (
@@ -74,10 +74,24 @@ class ProbeRecord:
 @dataclass(slots=True)
 class SearchOutcome:
     length: int
-    witness: Word
+    word: InitVar[Word]  # read back as `witness`
     calls: list[ProbeRecord] = field(default_factory=list)
     total_time: float = 0.0
     peak_memory_kb: int | None = None
+    # The witness, one character a symbol: 1 to 4 bytes a symbol against a
+    # tuple's 8, and a benchmark run or a sweep may keep thousands of outcomes.
+    _chars: str = field(init=False, repr=False)
+
+    def __post_init__(self, word: Word) -> None:
+        self.witness = word
+
+    @property
+    def witness(self) -> Word:
+        return tuple(map(ord, self._chars))
+
+    @witness.setter
+    def witness(self, word: Word) -> None:
+        self._chars = "".join(map(chr, word))
 
 
 @dataclass(slots=True)

@@ -1,8 +1,8 @@
-"""Exact analysis: synchronizability check, power-set BFS, greedy heuristic.
+"""Exact analysis: synchronizability check, bidirectional subset BFS, greedy heuristic.
 
 A set of states is a bit mask of any width (bit s-1 set means state s is in
-the set): a pair is a two-bit mask, a single state a one-bit mask.  Pairs are
-imaged state by state (`_image_bits`), larger sets byte by byte (`_image`).
+the set).  Pairs are imaged state by state (`_image_bits`), larger sets byte
+by byte (`_byte_tables`), which the BFS also builds from preimages.
 """
 
 from __future__ import annotations
@@ -86,53 +86,92 @@ def check_synchronizable(a: Automaton) -> bool:
     return len(_pair_merge_bfs(_image_bits(a))) == a.n * (a.n - 1) // 2
 
 
+def _columns(level: list[int], n: int) -> list[int]:
+    """cols[s] of a level: bit i is set iff state s+1 is in level[i]."""
+    rows = [format(p, f"0{n}b") for p in level]
+    return [int("".join(col)[::-1], 2) for col in list(zip(*rows))[::-1]]
+
+
+def _meet(fwd: list[int], level: list[int], cols: list[int] | None) -> int | None:
+    """The first set of `fwd` inside a set of `level`, in fewer than n steps a set:
+    a level of n sets or more comes with its `_columns`."""
+    for s in fwd:
+        if cols is None:
+            for p in level:
+                if s & p == s:
+                    return s
+        else:
+            # The sets holding every state of s seen so far, lowest state first.
+            common, m = cols[(s & -s).bit_length() - 1], s & (s - 1)
+            while m and common:
+                low = m & -m
+                common &= cols[low.bit_length() - 1]
+                m ^= low
+            if common:
+                return s
+    return None
+
+
 def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
                       time_budget: float | None = None) -> BfsResult | None:
-    """Breadth-first search over state subsets from the full set Q.
+    """Bidirectional BFS over state subsets (Kisielewicz, Kowalski & Szykula 2013).
 
-    Returns the certified shortest length with a witness, or None if the
-    automaton is not synchronizable.  Symbols are expanded in ascending order,
-    so among equal-length witnesses the lexicographically smallest is
-    returned.  Exceeding `max_visited` visited sets or `time_budget` seconds
-    raises ResourceLimitError instead of thrashing.
+    Forward levels hold the images w(Q), backward levels the nonempty preimages
+    w^-1(q), each set at the first depth reaching it: a forward set of depth f
+    inside a backward set of depth b is synchronized in f + b symbols.  Returns
+    the shortest length with the lexicographically least witness, or None if a
+    side runs dry first.  More than `max_visited` sets stored on both sides, or
+    `time_budget` seconds, raise ResourceLimitError.
     """
     full = (1 << a.n) - 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    tabs = _byte_tables(_image_bits(a))
-    # parent[mask] = the mask it was first reached from; Q maps to itself.
-    parent = {full: full}
-    frontier = deque([full])
-    sink = full
-    while sink & (sink - 1):
-        if not frontier:
+    tabs, pre_tabs = _byte_tables(_image_bits(a)), None  # preimage tables: on first use
+    singles = [1 << s for s in range(a.n)]
+    parent = {full: full}  # forward: the set each set was first reached from
+    seen = dict.fromkeys([0] + singles)  # backward; the empty set 0 is never stored
+    fwd, bwd = [full], [(singles, singles)]  # singletons are their own columns
+    meet = _meet(fwd, *bwd[0])
+    while meet is None:
+        back = len(fwd) > len(bwd[-1][0])  # grow the side with the smaller last level
+        if back and pre_tabs is None:
+            pre = [[0] * a.n for _ in range(a.k)]
+            for s, row in enumerate(a.delta):
+                for x, t in enumerate(row):
+                    pre[x][t - 1] |= 1 << s
+            pre_tabs = _byte_tables(pre)
+        last, found, side_tabs = (bwd[-1][0], seen, pre_tabs) if back else (fwd, parent, tabs)
+        level = []
+        for cur in last:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceLimitError(f"time budget {time_budget}s exceeded in power-set BFS")
+            for x_tabs in side_tabs:
+                nxt, m = 0, cur  # _image(cur, x_tabs), inlined
+                for t in x_tabs:
+                    nxt |= t[m & 255]
+                    m >>= 8
+                if nxt not in found:
+                    found[nxt] = cur
+                    if max_visited is not None and len(parent) + len(seen) - 1 > max_visited:
+                        raise ResourceLimitError(f"visited-set cap {max_visited} exceeded")
+                    level.append(nxt)
+        if not level:  # a side ran dry before the sides met: nothing synchronizes Q
             return None
-        cur = frontier.popleft()
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimitError(f"time budget {time_budget}s exceeded during power-set BFS")
-        for x_tabs in tabs:
-            nxt, m = 0, cur  # _image(cur, x_tabs), inlined
-            for t in x_tabs:
-                nxt |= t[m & 255]
-                m >>= 8
-            if nxt in parent:
-                continue
-            parent[nxt] = cur
-            if max_visited is not None and len(parent) > max_visited:
-                raise ResourceLimitError(
-                    f"visited-set cap {max_visited} exceeded during power-set BFS"
-                )
-            if nxt & (nxt - 1) == 0:
-                sink = nxt
-                break
-            frontier.append(nxt)
-    # The least symbol mapping parent[mask] to mask is the one that reached it.
-    word: list[int] = []
-    mask = sink
-    while mask != full:
+        if back:
+            bwd.append((level, _columns(level, a.n) if len(level) >= a.n else None))
+        else:
+            fwd = level
+        meet = _meet(fwd, *bwd[-1])
+    word, mask = [], meet
+    while mask != full:  # the least symbol mapping parent[mask] to mask reached it
         prev = parent[mask]
-        word.append(next(x for x, t in enumerate(tabs, start=1) if _image(prev, t) == mask))
+        word.insert(0, next(x for x, t in enumerate(tabs, start=1) if _image(prev, t) == mask))
         mask = prev
-    return BfsResult(len(word), tuple(reversed(word)), sink.bit_length())
+    mask = meet  # then, level by level, the least symbol whose image lies in the next
+    for level, cols in reversed(bwd[:-1]):
+        x = next(x for x, t in enumerate(tabs, start=1) if _meet([_image(mask, t)], level, cols))
+        word.append(x)
+        mask = _image(mask, tabs[x - 1])
+    return BfsResult(len(word), tuple(word), mask.bit_length())
 
 
 def greedy_sync(a: Automaton) -> Word | None:

@@ -206,6 +206,13 @@ class TestDecodeAnswerSet:
             decode_answer_set(p, ["synchro(1)", "synchro(2,1)"])
         assert str(exc.value) == "bad synchro atom 'synchro(1)'"
 
+    @pytest.mark.parametrize("atom", ["synchro(1,)", "synchro(1,,2)"])
+    def test_empty_argument(self, a1, atom):
+        p = emit(a1, "asp1", 2)
+        with pytest.raises(DecodeError) as exc:
+            decode_answer_set(p, [atom, "synchro(2,1)"])
+        assert str(exc.value) == f"bad atom {atom!r}"
+
     def test_duplicate_shortest_atom(self, a1):
         p = emit(a1, "asp1opt", 2)
         with pytest.raises(DecodeError) as exc:

@@ -99,8 +99,9 @@ class TestShortest:
     def test_time_budget_infra_error(self, tmp_path, capsys):
         from syncword.automaton import generate_cerny, serialize_fa
 
-        path = tmp_path / "cerny16.fa"
-        path.write_text(serialize_fa(generate_cerny(16)))
+        # Unbudgeted, BFS on Cerny 200 takes about 3 s.
+        path = tmp_path / "cerny200.fa"
+        path.write_text(serialize_fa(generate_cerny(200)))
         assert cli_main(["shortest", str(path), "--time-budget", "0.01"]) == 3
         assert "time budget" in capsys.readouterr().err
 
@@ -111,7 +112,9 @@ class TestShortest:
         ("sat-external", "s SATISFIABLE\\nv 1 2 0\\n"),
         # A non-integer literal does not parse.
         ("sat-external", "s SATISFIABLE\\nv 1 x 0\\n"),
-    ], ids=["asp-symbol-out-of-range", "sat-two-symbols", "sat-bad-literal"])
+        # An atom with an empty argument does not decode.
+        ("asp1", "Answer: 1\\nsynchro(1,) synchro(2,1)\\n"),
+    ], ids=["asp-symbol-out-of-range", "sat-two-symbols", "sat-bad-literal", "asp-empty-argument"])
     def test_unreadable_solver_output_infra_error(self, a1_file, capsys, method, output):
         cmd = f"cat {{file}} >/dev/null; printf '{output}'"
         rc = cli_main(["shortest", a1_file, "--method", method, "--solver-cmd", cmd])

@@ -9,6 +9,7 @@ import pytest
 from syncword.automaton import generate_cerny, is_synchronizing_word
 from syncword.driver import (
     SearchConfig,
+    SearchOutcome,
     find_shortest,
     parse_asp_solver_output,
     parse_sat_solver_output,
@@ -47,6 +48,14 @@ class TestFindShortestInternal:
         outcome = find_shortest(a1, SearchConfig(method="bfs"))
         assert outcome.length == 4
         assert outcome.witness == (2, 1, 1, 2)
+
+    @pytest.mark.parametrize("word", [(), (2, 1, 1, 2), (1, 255, 256, 70000, 1_114_111)])
+    def test_outcome_witness_round_trip(self, word):
+        # The witness is stored one character a symbol and read back as a tuple.
+        outcome = SearchOutcome(len(word), word)
+        assert outcome.witness == word
+        outcome.witness = word + (3,)
+        assert outcome.witness == word + (3,)
 
     def test_a1_sat_internal_probe_trace(self, a1):
         # initial c = ceil(2*sqrt(3)) = 4 is already SAT; binary search over
@@ -133,9 +142,9 @@ class TestFindShortestInternal:
         with pytest.raises(ResourceLimitError, match="518560 variables"):
             find_shortest(generate_cerny(160), SearchConfig(method="sat-internal", initial_c=3200))
 
-    @pytest.mark.parametrize("method, n, budget", [("bfs", 16, 0.01), ("sat-internal", 5, 0.2)])
+    @pytest.mark.parametrize("method, n, budget", [("bfs", 200, 0.01), ("sat-internal", 5, 0.2)])
     def test_time_budget_per_probe(self, method, n, budget):
-        # Unbudgeted, BFS on Cerny 16 takes about 0.3 s and the DPLL search on
+        # Unbudgeted, BFS on Cerny 200 takes about 3 s and the DPLL search on
         # the paper encoding of Cerny 5 about 15 s; the c = 20 probe alone takes
         # seconds.  BFS ignores the encoding.
         start = time.monotonic()

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from syncword.automaton import (
+    Automaton,
     cubic_length_bound,
     generate_cerny,
     generate_random,
@@ -14,6 +15,7 @@ from syncword.errors import ResourceLimitError
 from syncword.exact import check_synchronizable, greedy_sync, shortest_sync_bfs
 
 from conftest import A1_TEXT
+from helpers.forward_bfs import forward_bfs
 
 
 def synchronizable_sweep(count, max_n=7, max_k=3, base_seed=1000):
@@ -104,11 +106,12 @@ class TestShortestSyncBfs:
             shortest_sync_bfs(generate_cerny(8), max_visited=3)
 
     def test_visited_cap_boundary(self):
-        # Černý 8 is solved after exactly 248 visited subsets, the full set
-        # and the singleton included.
-        assert shortest_sync_bfs(generate_cerny(8), max_visited=248).length == 49
+        # Černý 8 is solved with exactly 77 stored subsets on the two sides
+        # together: the full set, the eight singletons and the sets reached
+        # from them.
+        assert shortest_sync_bfs(generate_cerny(8), max_visited=77).length == 49
         with pytest.raises(ResourceLimitError):
-            shortest_sync_bfs(generate_cerny(8), max_visited=247)
+            shortest_sync_bfs(generate_cerny(8), max_visited=76)
 
     @pytest.mark.parametrize("a, length, witness, sink", [
         (generate_cerny(9), 64, ((2,) + (1,) * 8) * 7 + (2,), 1),
@@ -125,6 +128,61 @@ class TestShortestSyncBfs:
         # Pins (length, witness, sink) on masks wider than one byte.
         res = shortest_sync_bfs(a)
         assert (res.length, res.witness, res.sink) == (length, witness, sink)
+
+
+def two_class_automaton(n, k, seed):
+    """Random automaton whose every symbol keeps or swaps the odd and the even
+    states, so every image of Q meets both: it is not synchronizable."""
+    import random
+
+    rng = random.Random(seed)
+    classes = (range(2, n + 1, 2), range(1, n + 1, 2))  # indexed by s % 2
+    rows = [[] for _ in range(n)]
+    for _ in range(k):
+        swap = rng.random() < 0.5
+        for s in range(1, n + 1):
+            rows[s - 1].append(rng.choice(classes[(s + swap) % 2]))
+    return Automaton(n, k, tuple(map(tuple, rows)))
+
+
+class TestAgainstForwardBfs:
+    """The two-way search gives what the forward-only BFS gives: the same
+    length, witness and sink, or None."""
+
+    @staticmethod
+    def key(res):
+        return None if res is None else (res.length, res.witness, res.sink)
+
+    def test_random_and_two_class_automata(self, monkeypatch):
+        import random
+
+        from syncword import exact
+
+        # Sizes of the last levels tested: the search grows the smaller side
+        # next, so when it returns None that side is the one that ran dry.
+        sizes = []
+        meet = exact._meet
+        monkeypatch.setattr(exact, "_meet", lambda fwd, level, cols:
+                            sizes.append((len(fwd), len(level))) or meet(fwd, level, cols))
+        rngs = [random.Random(seed) for seed in range(3000)]
+        cases = [generate_random(r.randint(1, 14), r.randint(1, 3), seed)
+                 for seed, r in enumerate(rngs[:2000])]
+        cases += [two_class_automaton(r.randint(2, 14), r.randint(1, 3), seed)
+                  for seed, r in enumerate(rngs[2000:], start=2000)]
+        kinds = {"synchronizable": 0, "forward ran dry": 0, "backward ran dry": 0}
+        for a in cases:
+            sizes.clear()
+            expected = self.key(forward_bfs(a))
+            assert self.key(shortest_sync_bfs(a)) == expected, a
+            f, b = sizes[-1]
+            kinds["synchronizable" if expected else
+                  "backward ran dry" if f > b else "forward ran dry"] += 1
+        assert min(kinds.values()) > 200, kinds
+
+    def test_cerny(self):
+        for n in range(2, 19):
+            a = generate_cerny(n)
+            assert self.key(shortest_sync_bfs(a)) == self.key(forward_bfs(a)), n
 
 
 class TestImageKernel:
