@@ -75,7 +75,7 @@ class ProbeRecord:
 class SearchOutcome:
     length: int
     word: InitVar[Word]  # read back as `witness`
-    calls: list[ProbeRecord] = field(default_factory=list)
+    calls: tuple[ProbeRecord, ...] = ()
     total_time: float = 0.0
     peak_memory_kb: int | None = None
     # The witness, one character a symbol: 1 to 4 bytes a symbol against a
@@ -206,18 +206,19 @@ def parse_asp_solver_output(text: str, expect_optimum: bool = False) -> list[str
 def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     """Shortest synchronizing length under the configured method.
 
-    Returns None (not synchronizable) without any solver call when the
-    polynomial check fails.  Otherwise c doubles from the initial bound up to
-    the first satisfiable probe.  BFS and the opt programs return the optimum
-    directly; the decision methods then binary-search the least satisfiable
-    c.  The witness is re-verified before it is reported.
+    Returns None iff the automaton is not synchronizable.  BFS decides that
+    itself; every other method first runs the polynomial check and returns
+    None without any solver call when it fails.  Otherwise c doubles from the
+    initial bound up to the first satisfiable probe.  BFS and the opt programs
+    return the optimum directly; the decision methods then binary-search the
+    least satisfiable c.  The witness is re-verified before it is reported.
     """
     start = time.monotonic()
-    if not check_synchronizable(a):
-        return None
+    if cfg.method != "bfs" and not check_synchronizable(a):
+        return None  # else the decision methods would double c up to the cubic bound
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
-        return SearchOutcome(0, (), [], time.monotonic() - start)
+        return SearchOutcome(0, (), (), time.monotonic() - start)
     cmd = None
     if cfg.method not in ("bfs", "sat-internal"):
         env = SAT_CMD_ENV if cfg.method == "sat-external" else ASP_CMD_ENV
@@ -243,6 +244,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
             break
         if found is not None:
             word, shortest = found, c
+        elif cfg.method == "bfs":  # the BFS found the automaton not synchronizable
+            return None
         elif c >= cap:
             # Synchronizable automata always have a word within the cubic
             # bound; reaching it UNSAT means the encoder or solver is broken.
@@ -261,7 +264,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
             f"decoded witness of length {len(word)} failed re-verification ({kind} path)"
         )
     peak = max((r.memory_kb for r in calls if r.memory_kb), default=None)
-    return SearchOutcome(shortest, word, calls, time.monotonic() - start, peak)
+    return SearchOutcome(shortest, word, tuple(calls), time.monotonic() - start, peak)
 
 
 def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
@@ -273,10 +276,11 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
     word = shortest = memory_kb = None
     if method == "bfs":
         res = shortest_sync_bfs(a, time_budget=cfg.time_budget)
-        if res is None:  # pair check said synchronizable; BFS must agree
+        if res is not None:
+            word, shortest = res.witness, res.length
+            c = res.length  # BFS ignores the bound; record what it found
+        elif check_synchronizable(a):  # only a non-synchronizable input pays for this
             raise SoundnessError("pair-automaton check and power-set BFS disagree")
-        word, shortest = res.witness, res.length
-        c = res.length  # BFS ignores the bound; record what it found
     elif method.startswith("sat"):
         if method == "sat-internal":
             # Refuse before building a formula the internal solver would reject.

@@ -3,6 +3,10 @@
 A set of states is a bit mask of any width (bit s-1 set means state s is in
 the set).  Pairs are imaged state by state (`_image_bits`), larger sets byte
 by byte (`_byte_tables`), which the BFS also builds from preimages.
+
+The BFS decides synchronizability itself: most searches end, with a witness or
+with a side run dry, before they store n^2 sets, and the O(k * n^2) pair check
+runs only in those that grow past that.
 """
 
 from __future__ import annotations
@@ -119,9 +123,12 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     Forward levels hold the images w(Q), backward levels the nonempty preimages
     w^-1(q), each set at the first depth reaching it: a forward set of depth f
     inside a backward set of depth b is synchronized in f + b symbols.  Returns
-    the shortest length with the lexicographically least witness, or None if a
-    side runs dry first.  More than `max_visited` sets stored on both sides, or
-    `time_budget` seconds, raise ResourceLimitError.
+    the shortest length with the lexicographically least witness, or None iff
+    the automaton is not synchronizable: a side ran dry first, or the pair check
+    failed.  That check runs once, at the first level boundary where the two
+    sides store more than n^2 sets, or when a budget runs out before then.  More
+    than `max_visited` sets stored on both sides, or `time_budget` seconds, raise
+    ResourceLimitError on a synchronizable automaton.
     """
     full = (1 << a.n) - 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -130,8 +137,19 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     parent = {full: full}  # forward: the set each set was first reached from
     seen = dict.fromkeys([0] + singles)  # backward; the empty set 0 is never stored
     fwd, bwd = [full], [(singles, singles)]  # singletons are their own columns
+    decided = False  # whether the pair check has found the automaton synchronizable
+
+    def over(limit: str) -> None:
+        """A budget ran out: None if the pair check says nothing synchronizes."""
+        if decided or check_synchronizable(a):
+            raise ResourceLimitError(limit)
+
     meet = _meet(fwd, *bwd[0])
     while meet is None:
+        if not decided and len(parent) + len(seen) - 1 > a.n * a.n:
+            if not check_synchronizable(a):  # cheaper than the levels still to come
+                return None
+            decided = True
         back = len(fwd) > len(bwd[-1][0])  # grow the side with the smaller last level
         if back and pre_tabs is None:
             pre = [[0] * a.n for _ in range(a.k)]
@@ -143,7 +161,7 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
         level = []
         for cur in last:
             if deadline is not None and time.monotonic() > deadline:
-                raise ResourceLimitError(f"time budget {time_budget}s exceeded in power-set BFS")
+                return over(f"time budget {time_budget}s exceeded in power-set BFS")
             for x_tabs in side_tabs:
                 nxt, m = 0, cur  # _image(cur, x_tabs), inlined
                 for t in x_tabs:
@@ -152,7 +170,7 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
                 if nxt not in found:
                     found[nxt] = cur
                     if max_visited is not None and len(parent) + len(seen) - 1 > max_visited:
-                        raise ResourceLimitError(f"visited-set cap {max_visited} exceeded")
+                        return over(f"visited-set cap {max_visited} exceeded")
                     level.append(nxt)
         if not level:  # a side ran dry before the sides met: nothing synchronizes Q
             return None

@@ -62,6 +62,18 @@ class TestShortest:
     def test_not_synchronizable_exit_1(self, swap_file):
         assert cli_main(["shortest", swap_file]) == 1
 
+    @pytest.mark.parametrize("seed", [None, 6], ids=["swap", "random-10-2-6"])
+    def test_not_synchronizable_exit_1_under_any_time_budget(self, swap_file, tmp_path,
+                                                              capsys, seed):
+        # The budget runs out before BFS has decided; the pair check then
+        # decides.  Random 10:2 seed 6 does not synchronize either.
+        path = swap_file
+        if seed is not None:
+            cli_main(["gen", "random", "-n", "10", "-k", "2", "--seed", str(seed)])
+            path = tmp_path / "random.fa"
+            path.write_text(capsys.readouterr().out)
+        assert cli_main(["shortest", str(path), "--time-budget", "1e-9"]) == 1
+
     def test_unknown_method_usage_error(self, a1_file):
         assert cli_main(["shortest", a1_file, "--method", "quantum"]) == 2
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from syncword.automaton import generate_cerny, is_synchronizing_word
+from syncword.automaton import generate_cerny, generate_random, is_synchronizing_word
 from syncword.driver import (
     SearchConfig,
     SearchOutcome,
@@ -16,7 +16,7 @@ from syncword.driver import (
     run_external,
 )
 from syncword.errors import ResourceLimitError, SolverError, SoundnessError
-from syncword.exact import shortest_sync_bfs
+from syncword.exact import check_synchronizable, shortest_sync_bfs
 from test_exact import synchronizable_sweep
 
 
@@ -86,17 +86,49 @@ class TestFindShortestInternal:
         outcome = find_shortest(swap, SearchConfig(method="sat-internal"))
         assert outcome is None  # and no solver calls were made
 
-    def test_total_time_covers_the_pair_check(self, a1, monkeypatch):
-        import syncword.driver as driver_mod
-
-        real = driver_mod.check_synchronizable
+    @staticmethod
+    def slowed_checks(monkeypatch, module):
+        """Slow `module.check_synchronizable` by 0.05 s; return its call list."""
+        checks = []
 
         def slow_check(a):
+            checks.append(a)
             time.sleep(0.05)
-            return real(a)
+            return check_synchronizable(a)
 
-        monkeypatch.setattr(driver_mod, "check_synchronizable", slow_check)
-        assert find_shortest(a1, SearchConfig()).total_time >= 0.05
+        monkeypatch.setattr(f"{module}.check_synchronizable", slow_check)
+        return checks
+
+    def test_total_time_covers_the_pair_check(self, a1, monkeypatch):
+        checks = self.slowed_checks(monkeypatch, "syncword.driver")  # checked up front
+        assert find_shortest(a1, SearchConfig(method="sat-internal")).total_time >= 0.05
+        assert len(checks) == 1
+
+    def test_total_time_covers_the_in_search_pair_check(self, monkeypatch):
+        # BFS checks once its two sides store more than n^2 sets: Cerny 14
+        # stores 233 > 196.
+        checks = self.slowed_checks(monkeypatch, "syncword.exact")
+        assert find_shortest(generate_cerny(14), SearchConfig()).total_time >= 0.05
+        assert len(checks) == 1
+
+    def test_bfs_runs_no_pair_check_on_a_small_search(self, a1, monkeypatch):
+        def no_check(a):
+            raise AssertionError("check_synchronizable was called")
+
+        monkeypatch.setattr("syncword.driver.check_synchronizable", no_check)
+        monkeypatch.setattr("syncword.exact.check_synchronizable", no_check)
+        assert find_shortest(a1, SearchConfig()).length == 4
+
+    def test_bfs_not_synchronizable_after_one_in_search_check(self, monkeypatch):
+        a = generate_random(10, 2, 6)  # not synchronizable; stores over 100 sets
+        checks = []
+        for module in ("exact", "driver"):
+            monkeypatch.setattr(f"syncword.{module}.check_synchronizable",
+                                lambda a, module=module: checks.append(module)
+                                or check_synchronizable(a))
+        assert find_shortest(a, SearchConfig()) is None
+        # The in-search check, then the driver's disagreement check.
+        assert checks == ["exact", "driver"]
 
     def test_one_state(self, one_state):
         outcome = find_shortest(one_state, SearchConfig(method="sat-internal"))

@@ -105,6 +105,15 @@ class TestShortestSyncBfs:
         with pytest.raises(ResourceLimitError):
             shortest_sync_bfs(generate_cerny(8), max_visited=3)
 
+    @pytest.mark.parametrize("budget", [{"max_visited": 20}, {"time_budget": 1e-9}],
+                             ids=["max-visited", "time-budget"])
+    def test_budget_runs_the_pair_check_first(self, budget):
+        # Either budget trips before the search stores n^2 = 100 sets; the pair
+        # check then tells a non-synchronizable automaton from a budget overrun.
+        assert shortest_sync_bfs(generate_random(10, 2, 6), **budget) is None
+        with pytest.raises(ResourceLimitError):
+            shortest_sync_bfs(generate_cerny(10), **budget)
+
     def test_visited_cap_boundary(self):
         # Černý 8 is solved with exactly 77 stored subsets on the two sides
         # together: the full set, the eight singletons and the sets reached
@@ -159,24 +168,31 @@ class TestAgainstForwardBfs:
         from syncword import exact
 
         # Sizes of the last levels tested: the search grows the smaller side
-        # next, so when it returns None that side is the one that ran dry.
-        sizes = []
-        meet = exact._meet
+        # next, so when it returns None without a pair check that side is the
+        # one that ran dry.  The pair check runs once the sides store more
+        # than n^2 sets.
+        sizes, checks = [], []
+        meet, check = exact._meet, exact.check_synchronizable
         monkeypatch.setattr(exact, "_meet", lambda fwd, level, cols:
                             sizes.append((len(fwd), len(level))) or meet(fwd, level, cols))
+        monkeypatch.setattr(exact, "check_synchronizable",
+                            lambda a: checks.append(a) or check(a))
         rngs = [random.Random(seed) for seed in range(3000)]
         cases = [generate_random(r.randint(1, 14), r.randint(1, 3), seed)
                  for seed, r in enumerate(rngs[:2000])]
         cases += [two_class_automaton(r.randint(2, 14), r.randint(1, 3), seed)
                   for seed, r in enumerate(rngs[2000:], start=2000)]
-        kinds = {"synchronizable": 0, "forward ran dry": 0, "backward ran dry": 0}
+        kinds = {"synchronizable": 0, "forward ran dry": 0, "backward ran dry": 0,
+                 "pair check": 0}
         for a in cases:
             sizes.clear()
+            checks.clear()
             expected = self.key(forward_bfs(a))
             assert self.key(shortest_sync_bfs(a)) == expected, a
             f, b = sizes[-1]
-            kinds["synchronizable" if expected else
+            kinds["synchronizable" if expected else "pair check" if checks else
                   "backward ran dry" if f > b else "forward ran dry"] += 1
+        assert kinds.pop("pair check") >= 20, kinds
         assert min(kinds.values()) > 200, kinds
 
     def test_cerny(self):
