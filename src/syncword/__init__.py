@@ -28,6 +28,7 @@ from syncword.exact import (
     BfsResult,
     check_synchronizable,
     greedy_sync,
+    merge_bound,
     shortest_sync_bfs,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "generate_random",
     "greedy_sync",
     "is_synchronizing_word",
+    "merge_bound",
     "parse_fa",
     "parse_kiss2",
     "serialize_fa",

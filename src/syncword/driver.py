@@ -2,11 +2,11 @@
 every method, plus external solver process adaptation.
 
 The decision predicate "a synchronizing word of length c exists" is monotone
-in c, so after doubling to a SAT upper bound we binary-search the least SAT
-c; BFS and the opt programs return the optimum directly and skip the binary
-search.  Every witness is re-verified against the automaton before it is
-reported; a verification failure is a soundness error, never silently
-accepted.
+in c, so from the pair-merge lower bound we climb to a SAT upper bound and
+binary-search the least SAT c; BFS and the opt programs return the optimum
+directly and skip the binary search.  Every witness is re-verified against
+the automaton before it is reported; a verification failure is a soundness
+error, never silently accepted.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from syncword.automaton import (
     is_synchronizing_word,
 )
 from syncword.errors import DecodeError, ParseError, SolverError, SoundnessError
-from syncword.exact import check_synchronizable, shortest_sync_bfs
+from syncword.exact import check_synchronizable, merge_bound, shortest_sync_bfs
 
 METHODS = ("bfs", "sat-internal", "sat-external", "asp1", "asp2", "asp1opt", "asp2opt")
 
@@ -41,7 +41,7 @@ ASP_CMD_ENV = "SYNCWORD_ASP_CMD"
 @dataclass
 class SearchConfig:
     method: str = "bfs"
-    initial_c: int | None = None  # default: ceil(2*sqrt(n))
+    initial_c: int | None = None  # default: pair-merge bound L; opt: max(L, ceil(2*sqrt(n)))
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
     legacy_syntax: bool = False
@@ -207,15 +207,18 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     """Shortest synchronizing length under the configured method.
 
     Returns None iff the automaton is not synchronizable.  BFS decides that
-    itself; every other method first runs the polynomial check and returns
-    None without any solver call when it fails.  Otherwise c doubles from the
-    initial bound up to the first satisfiable probe.  BFS and the opt programs
-    return the optimum directly; the decision methods then binary-search the
-    least satisfiable c.  The witness is re-verified before it is reported.
+    itself; every other method first runs the pair-automaton BFS, which gives
+    None without any solver call or a lower bound L on the length.  The
+    decision methods probe at L, then after an UNSAT c at max(c + step,
+    ceil(2*sqrt(n))) and after a SAT one bisect, no lower than it minus step,
+    step doubling from 1 each probe; an answer always has a SAT probe at its
+    length and an UNSAT one at length - 1.  The opt programs double c from max(L,
+    ceil(2*sqrt(n))).  The witness is re-verified before it is reported.
     """
     start = time.monotonic()
-    if cfg.method != "bfs" and not check_synchronizable(a):
-        return None  # else the decision methods would double c up to the cubic bound
+    low = 0 if cfg.method == "bfs" else merge_bound(a)
+    if low is None:
+        return None  # else the decision methods would climb c up to the cubic bound
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
         return SearchOutcome(0, (), (), time.monotonic() - start)
@@ -225,11 +228,12 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
         cmd = cfg.solver_cmd or os.environ.get(env)
         if cmd is None:
             raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
-    cap = max(1, cubic_length_bound(a.n))
-    c = min(cfg.initial_c or default_initial_bound(a.n), cap)
+    cap, d, step = max(1, cubic_length_bound(a.n)), default_initial_bound(a.n), 1
+    direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
+    c = min(cfg.initial_c or (max(low, d) if direct else low), cap)
     calls: list[ProbeRecord] = []
 
-    # c doubles up to the first satisfiable probe, then bisects between lo (the
+    # c climbs up to the first satisfiable probe, then bisects between lo (the
     # greatest unsatisfiable bound) and shortest (the least satisfiable one); the
     # encoding pads shorter words, so |word| == the bound it was found at.
     lo, shortest = 0, None
@@ -255,7 +259,9 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
             )
         else:
             lo = c
-        c = min(2 * c, cap) if shortest is None else (lo + shortest) // 2
+        c = (max((lo + shortest) // 2, shortest - step) if shortest is not None
+             else min(2 * c if direct else max(c + step, d), cap))
+        step *= 2
 
     if (len(word) != shortest or not all(1 <= x <= a.k for x in word)
             or not is_synchronizing_word(a, word)):

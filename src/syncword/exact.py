@@ -1,4 +1,4 @@
-"""Exact analysis: synchronizability check, bidirectional subset BFS, greedy heuristic.
+"""Exact analysis: pair check and merge bound, bidirectional subset BFS, greedy heuristic.
 
 A set of states is a bit mask of any width (bit s-1 set means state s is in
 the set).  Pairs are imaged state by state (`_image_bits`), larger sets byte
@@ -12,7 +12,6 @@ runs only in those that grow past that.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from syncword.automaton import Automaton, Word, is_synchronizing_word
@@ -51,18 +50,19 @@ def _image(mask: int, tabs: list[list[int]]) -> int:
     return out
 
 
-def _pair_merge_bfs(bits: list[list[int]]) -> dict[int, int]:
+def _pair_merge_bfs(bits: list[list[int]]) -> tuple[dict[int, int], int]:
     """Backward BFS on the pair automaton from the merged (diagonal) pairs.
 
-    Returns sym, keyed by the two-bit mask of every mergeable pair: the first
-    symbol of a shortest word merging the pair.  Runs in O(n^2 * k).
+    Returns (sym, depth): sym maps the two-bit mask of every mergeable pair to
+    the first symbol of a shortest word merging it, and depth is the length of
+    the longest of those words.  Runs in O(n^2 * k).
     """
     n = len(bits[0])
     sym: dict[int, int] = {}
     # Backward edges: applying x to {p,q} yields {p',q'}; so from {p',q'} we
     # can reach {p,q} going backward.
     preds: dict[int, list[tuple[int, int]]] = {}
-    queue: deque[int] = deque()
+    level: list[int] = []
     for p in range(n):
         for q in range(p + 1, n):
             pair = 1 << p | 1 << q
@@ -72,13 +72,24 @@ def _pair_merge_bfs(bits: list[list[int]]) -> dict[int, int]:
                     preds.setdefault(img, []).append((pair, x))
                 elif pair not in sym:
                     sym[pair] = x
-                    queue.append(pair)
-    while queue:
-        for pair, x in preds.get(queue.popleft(), ()):
-            if pair not in sym:
-                sym[pair] = x
-                queue.append(pair)
-    return sym
+                    level.append(pair)
+    depth = 0
+    while level:  # level by level, in the order a FIFO queue would take
+        depth, last, level = depth + 1, level, []
+        for merged in last:
+            for pair, x in preds.get(merged, ()):
+                if pair not in sym:
+                    sym[pair] = x
+                    level.append(pair)
+    return sym, depth
+
+
+def merge_bound(a: Automaton) -> int | None:
+    """Length of the longest shortest pair-merging word, or None iff some pair
+    never merges.  Every synchronizing word merges every pair, so this is a
+    lower bound on the shortest synchronizing length."""
+    sym, depth = _pair_merge_bfs(_image_bits(a))
+    return depth if len(sym) == a.n * (a.n - 1) // 2 else None
 
 
 def check_synchronizable(a: Automaton) -> bool:
@@ -87,7 +98,7 @@ def check_synchronizable(a: Automaton) -> bool:
     An automaton is synchronizable iff every unordered state pair can be
     merged, which the pair-automaton BFS decides in O(n^2 * k).
     """
-    return len(_pair_merge_bfs(_image_bits(a))) == a.n * (a.n - 1) // 2
+    return merge_bound(a) is not None
 
 
 def _columns(level: list[int], n: int) -> list[int]:
@@ -201,7 +212,7 @@ def greedy_sync(a: Automaton) -> Word | None:
     length is O(n^3).  Returns None iff the automaton is not synchronizable.
     """
     bits = _image_bits(a)
-    sym = _pair_merge_bfs(bits)
+    sym, _ = _pair_merge_bfs(bits)
     if len(sym) < a.n * (a.n - 1) // 2:
         return None
     tabs = _byte_tables(bits)

@@ -16,6 +16,7 @@ from syncword.driver import (
     run_external,
 )
 from syncword.errors import ResourceLimitError, SolverError, SoundnessError
+from syncword import exact
 from syncword.exact import check_synchronizable, shortest_sync_bfs
 from test_exact import synchronizable_sweep
 
@@ -58,18 +59,22 @@ class TestFindShortestInternal:
         assert outcome.witness == word + (3,)
 
     def test_a1_sat_internal_probe_trace(self, a1):
-        # initial c = ceil(2*sqrt(3)) = 4 is already SAT; binary search over
-        # (0,4] probes 2 and 3, both UNSAT.
+        # The first probe is at the pair-merge bound: the pair {1,2} needs aab.
+        # It is UNSAT, the next is max(3 + 1, ceil(2*sqrt(3)) = 4), SAT.
         outcome = find_shortest(a1, SearchConfig(method="sat-internal"))
         assert outcome.length == 4
+        assert [(r.c, r.verdict) for r in outcome.calls] == [(3, "unsat"), (4, "sat")]
+
+    def test_cerny4_sat_internal_probe_trace(self):
+        # From the pair-merge bound 6 the UNSAT steps are 1 and 2, the SAT
+        # probe at 9 bisects to max((7 + 9) // 2, 9 - 4) = 8.
+        outcome = find_shortest(generate_cerny(4), SearchConfig(method="sat-internal"))
+        assert outcome.length == 9
         assert [(r.c, r.verdict) for r in outcome.calls] == [
-            (4, "sat"),
-            (2, "unsat"),
-            (3, "unsat"),
-        ]
+            (6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]
 
     def test_unsat_up_to_the_cubic_bound_is_a_soundness_error(self, a1, monkeypatch):
-        # cubic_length_bound(3) = 4, so the first probe at c = 4 is already the last.
+        # cubic_length_bound(3) = 4, so the second probe, at c = 4, is the last.
         monkeypatch.setattr("syncword.satenc.solve_internal", lambda cnf, time_budget: None)
         with pytest.raises(SoundnessError) as exc:
             find_shortest(a1, SearchConfig(method="sat-internal"))
@@ -87,20 +92,22 @@ class TestFindShortestInternal:
         assert outcome is None  # and no solver calls were made
 
     @staticmethod
-    def slowed_checks(monkeypatch, module):
-        """Slow `module.check_synchronizable` by 0.05 s; return its call list."""
+    def slowed_checks(monkeypatch, module, name="check_synchronizable"):
+        """Slow `module.name` by 0.05 s; return its call list."""
         checks = []
+        check = getattr(exact, name)
 
         def slow_check(a):
             checks.append(a)
             time.sleep(0.05)
-            return check_synchronizable(a)
+            return check(a)
 
-        monkeypatch.setattr(f"{module}.check_synchronizable", slow_check)
+        monkeypatch.setattr(f"{module}.{name}", slow_check)
         return checks
 
     def test_total_time_covers_the_pair_check(self, a1, monkeypatch):
-        checks = self.slowed_checks(monkeypatch, "syncword.driver")  # checked up front
+        # The SAT and ASP methods run the pair BFS up front, for its bound.
+        checks = self.slowed_checks(monkeypatch, "syncword.driver", "merge_bound")
         assert find_shortest(a1, SearchConfig(method="sat-internal")).total_time >= 0.05
         assert len(checks) == 1
 
@@ -134,7 +141,7 @@ class TestFindShortestInternal:
         outcome = find_shortest(one_state, SearchConfig(method="sat-internal"))
         assert outcome.length == 0 and outcome.witness == ()
 
-    def test_doubling_reaches_large_optimum(self):
+    def test_search_reaches_large_optimum(self):
         outcome = find_shortest(generate_cerny(5), SearchConfig(method="sat-internal"))
         assert outcome.length == 16
 
@@ -156,7 +163,8 @@ class TestFindShortestInternal:
         assert outcome.calls[0].c == 1 and outcome.calls[0].verdict == "unsat"
 
     def test_var_cap_checked_before_encoding(self, monkeypatch):
-        # Cerny 160 at the default bound c = 26 needs 691,412 paper variables.
+        # Cerny 160 starts at its pair-merge bound c = 12,720, far past the
+        # solver cap in paper variables.
         def no_encoding(a, c, encoding):
             raise AssertionError("the formula was built before the var cap was checked")
 
@@ -301,11 +309,20 @@ class TestExternalMethods:
 
     @pytest.mark.parametrize("method", ["asp1opt", "asp2opt"])
     def test_asp_opt_via_stub(self, a1, fake_asp_cmd, method):
-        # initial c = 4 >= optimum, single emission suffices
+        # initial c = max(3, ceil(2*sqrt(3))) = 4 >= optimum, single emission suffices
         outcome = find_shortest(a1, SearchConfig(method=method, solver_cmd=fake_asp_cmd))
         assert outcome.length == 4
         assert is_synchronizing_word(a1, outcome.witness)
         assert [(r.c, r.verdict) for r in outcome.calls] == [(4, "sat")]
+
+    def test_asp_opt_starts_at_the_pair_merge_bound(self, fake_asp_cmd):
+        # max(10, ceil(2*sqrt(5))) = 10 is UNSAT, 20 is capped at the cubic
+        # bound 19.
+        outcome = find_shortest(
+            generate_cerny(5), SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd)
+        )
+        assert outcome.length == 16
+        assert [(r.c, r.verdict) for r in outcome.calls] == [(10, "unsat"), (19, "sat")]
 
     def test_asp_opt_doubles_on_unsat(self, a1, fake_asp_cmd):
         outcome = find_shortest(

@@ -12,7 +12,7 @@ from syncword.automaton import (
     word_from_letters,
 )
 from syncword.errors import ResourceLimitError
-from syncword.exact import check_synchronizable, greedy_sync, shortest_sync_bfs
+from syncword.exact import check_synchronizable, greedy_sync, merge_bound, shortest_sync_bfs
 
 from conftest import A1_TEXT
 from helpers.forward_bfs import forward_bfs
@@ -59,6 +59,41 @@ class TestCheckSynchronizable:
         for seed in range(60):
             a = generate_random(2 + seed % 5, 1 + seed % 3, seed)
             assert check_synchronizable(a) == (shortest_sync_bfs(a) is not None)
+
+
+class TestMergeBound:
+    """The longest shortest pair-merging word: a lower bound on the shortest
+    synchronizing length, None iff the automaton is not synchronizable."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cerny(self, n):
+        assert merge_bound(generate_cerny(n)) == n * (n - 1) // 2
+
+    def test_every_two_state_automaton(self):
+        # With two states, merging the one pair is synchronizing.
+        maps = list(itertools.product((1, 2), repeat=2))
+        for k in (1, 2, 3):
+            for cols in itertools.product(maps, repeat=k):
+                a = Automaton(2, k, tuple(zip(*cols)))
+                res = shortest_sync_bfs(a)
+                assert merge_bound(a) == (None if res is None else res.length), a
+
+    def test_lower_bound_on_sweep(self):
+        for a in synchronizable_sweep(60):
+            assert merge_bound(a) <= shortest_sync_bfs(a).length
+
+    def test_none_iff_not_synchronizable(self):
+        cases = [generate_random(2 + seed % 9, 1 + seed % 3, seed) for seed in range(150)]
+        cases += [two_class_automaton(2 + seed % 9, 1 + seed % 3, seed) for seed in range(50)]
+        kinds = set()
+        for a in cases:
+            synchronizable = forward_bfs(a) is not None
+            assert (merge_bound(a) is not None) == check_synchronizable(a) == synchronizable
+            kinds.add(synchronizable)
+        assert kinds == {True, False}
+
+    def test_one_state(self, one_state):
+        assert merge_bound(one_state) == 0
 
 
 class TestShortestSyncBfs:
@@ -248,6 +283,18 @@ class TestGreedySync:
         w = greedy_sync(a)
         assert is_synchronizing_word(a, w)
         assert 25 <= len(w) <= cubic_length_bound(6)
+
+    def test_unchanged_on_the_acceptance_sweep(self):
+        # The 200 words of acceptance criterion 6, pinned by digest: the
+        # pair BFS's symbol choice and the pair order decide every one.
+        import hashlib
+
+        from test_acceptance import _sweep
+
+        words = [greedy_sync(a) for a in _sweep(200, max_k=3)]
+        assert sum(map(len, words)) == 744
+        assert hashlib.sha256(repr(words).encode()).hexdigest() == (
+            "936309af74ecda80baabaf87eb65a2c3183143fcc9a4f21d644165d882223e5c")
 
     def test_dominates_optimum_on_sweep(self):
         for a in synchronizable_sweep(40):
