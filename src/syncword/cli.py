@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_shortest)
     p.add_argument("fa")
     p.add_argument("--method", choices=METHODS, default="bfs")
-    p.add_argument("--initial-c", type=int, help="starting bound (default: the pair-merge lower"
-                   " bound L; max(L, ceil(2*sqrt(n))) for asp1opt and asp2opt)")
+    p.add_argument("--initial-c", type=int, help="starting bound (default: the pair-merge bound L,"
+                   " or d = ceil(2*sqrt(n)) if d > L + 3; max(L, d) for asp1opt and asp2opt)")
     p.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("greedy", help="greedy upper-bound synchronizing sequence")

@@ -2,11 +2,11 @@
 every method, plus external solver process adaptation.
 
 The decision predicate "a synchronizing word of length c exists" is monotone
-in c, so from the pair-merge lower bound we climb to a SAT upper bound and
-binary-search the least SAT c; BFS and the opt programs return the optimum
-directly and skip the binary search.  Every witness is re-verified against
-the automaton before it is reported; a verification failure is a soundness
-error, never silently accepted.
+in c, so from a start no lower than the pair-merge bound we climb to a SAT
+upper bound and binary-search the least SAT c; BFS and the opt programs
+return the optimum directly and skip the binary search.  Every witness is
+re-verified against the automaton before it is reported; a verification
+failure is a soundness error, never silently accepted.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ ASP_CMD_ENV = "SYNCWORD_ASP_CMD"
 @dataclass
 class SearchConfig:
     method: str = "bfs"
-    initial_c: int | None = None  # default: pair-merge bound L; opt: max(L, ceil(2*sqrt(n)))
+    initial_c: int | None = None  # default: L, or d = ceil(2*sqrt(n)) if d > L + 3; opt: max(L, d)
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
     legacy_syntax: bool = False
@@ -207,17 +207,16 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     """Shortest synchronizing length under the configured method.
 
     Returns None iff the automaton is not synchronizable.  BFS decides that
-    itself; every other method first runs the pair-automaton BFS, which gives
-    None without any solver call or a lower bound L on the length.  The
-    decision methods probe at L, then after an UNSAT c at max(c + step,
-    ceil(2*sqrt(n))) and after a SAT one bisect, no lower than it minus step,
-    step doubling from 1 each probe; an answer always has a SAT probe at its
-    length and an UNSAT one at length - 1.  The opt programs double c from max(L,
-    ceil(2*sqrt(n))).  The witness is re-verified before it is reported.
+    itself; every other method first runs the pair-automaton check, which gives
+    None without any solver call or a lower bound L on the length.  With d =
+    ceil(2*sqrt(n)), the decision methods probe first at L (at d if L < d - 3),
+    then after an UNSAT c at max(c + step, d) and after a SAT one bisect, no
+    lower than it minus step, step doubling from 1 each probe; an answer has a
+    SAT probe at its length and an UNSAT one at length - 1.  The opt programs
+    double c from max(L, d).  The witness is re-verified before it is reported.
     """
     start = time.monotonic()
-    low = 0 if cfg.method == "bfs" else merge_bound(a)
-    if low is None:
+    if cfg.method != "bfs" and not check_synchronizable(a):
         return None  # else the decision methods would climb c up to the cubic bound
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
@@ -230,7 +229,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
             raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
     cap, d, step = max(1, cubic_length_bound(a.n)), default_initial_bound(a.n), 1
     direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
-    c = min(cfg.initial_c or (max(low, d) if direct else low), cap)
+    low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
+    c = min(cfg.initial_c or (max(low, d) if direct or low < d - 3 else low), cap)
     calls: list[ProbeRecord] = []
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the

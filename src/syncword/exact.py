@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from syncword.automaton import Automaton, Word, is_synchronizing_word
 from syncword.errors import ResourceLimitError
@@ -84,6 +85,7 @@ def _pair_merge_bfs(bits: list[list[int]]) -> tuple[dict[int, int], int]:
     return sym, depth
 
 
+@lru_cache(maxsize=1)  # `find_shortest` asks the check, then the bound, of one automaton
 def merge_bound(a: Automaton) -> int | None:
     """Length of the longest shortest pair-merging word, or None iff some pair
     never merges.  Every synchronizing word merges every pair, so this is a

@@ -73,6 +73,28 @@ class TestFindShortestInternal:
         assert [(r.c, r.verdict) for r in outcome.calls] == [
             (6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]
 
+    @pytest.mark.parametrize("n, seed, trace", [
+        # L = 5 is the length: bisecting alone would go on at 2, 3 and 4.
+        (6, 21, [(5, "sat"), (4, "unsat")]),
+        # L = 5 < ceil(2*sqrt(20)) - 3 = 6, so the search starts at 9, the
+        # length, where bisecting alone would go on at 4, 6, 7 and 8.
+        (20, 23, [(9, "sat"), (8, "unsat")]),
+    ])
+    def test_bisection_starts_one_step_below_the_first_sat_probe(self, n, seed, trace):
+        outcome = find_shortest(generate_random(n, 2, seed), SearchConfig(method="sat-internal"))
+        assert [(r.c, r.verdict) for r in outcome.calls] == trace
+
+    def test_sat_methods_run_the_pair_bfs_once(self, monkeypatch):
+        # find_shortest asks for the check and then the bound; merge_bound's
+        # cache keeps that to one pair BFS.
+        exact.merge_bound.cache_clear()
+        runs = []
+        pair_bfs = exact._pair_merge_bfs
+        monkeypatch.setattr(exact, "_pair_merge_bfs", lambda bits: runs.append(bits)
+                            or pair_bfs(bits))
+        assert find_shortest(generate_cerny(4), SearchConfig(method="sat-internal")).length == 9
+        assert len(runs) == 1
+
     def test_unsat_up_to_the_cubic_bound_is_a_soundness_error(self, a1, monkeypatch):
         # cubic_length_bound(3) = 4, so the second probe, at c = 4, is the last.
         monkeypatch.setattr("syncword.satenc.solve_internal", lambda cnf, time_budget: None)
@@ -92,22 +114,20 @@ class TestFindShortestInternal:
         assert outcome is None  # and no solver calls were made
 
     @staticmethod
-    def slowed_checks(monkeypatch, module, name="check_synchronizable"):
-        """Slow `module.name` by 0.05 s; return its call list."""
+    def slowed_checks(monkeypatch, module):
+        """Slow `module.check_synchronizable` by 0.05 s; return its call list."""
         checks = []
-        check = getattr(exact, name)
 
         def slow_check(a):
             checks.append(a)
             time.sleep(0.05)
-            return check(a)
+            return check_synchronizable(a)
 
-        monkeypatch.setattr(f"{module}.{name}", slow_check)
+        monkeypatch.setattr(f"{module}.check_synchronizable", slow_check)
         return checks
 
     def test_total_time_covers_the_pair_check(self, a1, monkeypatch):
-        # The SAT and ASP methods run the pair BFS up front, for its bound.
-        checks = self.slowed_checks(monkeypatch, "syncword.driver", "merge_bound")
+        checks = self.slowed_checks(monkeypatch, "syncword.driver")  # checked up front
         assert find_shortest(a1, SearchConfig(method="sat-internal")).total_time >= 0.05
         assert len(checks) == 1
 
