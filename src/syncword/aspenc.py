@@ -96,8 +96,10 @@ def decode_answer_set(p: AspProgram, atoms: list[str]) -> tuple[Word, int | None
     """Assemble the word from synchro atoms of one answer set.
 
     `atoms` is the shown-atom list of a solver run.  For opt formulations the
-    length is read from shortest(l) and the word truncated to l symbols.
+    length is read from shortest(l), which must lie in 1..c, and the word
+    truncated to l symbols; the decision formulations ignore shortest atoms.
     """
+    is_opt = p.formulation.endswith("opt")
     synchro: dict[int, int] = {}
     shortest: int | None = None
     for atom in atoms:
@@ -115,18 +117,19 @@ def decode_answer_set(p: AspProgram, atoms: list[str]) -> tuple[Word, int | None
             if i in synchro:
                 raise DecodeError(f"duplicate synchro atom at step {i}")
             synchro[i] = x
-        elif name == "shortest":
+        elif name == "shortest" and is_opt:
             if len(args) != 1 or shortest is not None:
                 raise DecodeError(f"bad or duplicate shortest atom {atom!r}")
             shortest = args[0]
 
-    is_opt = p.formulation.endswith("opt")
-    if is_opt:
-        if shortest is None:
-            raise DecodeError("optimization answer set carries no shortest(l) atom")
-        length = shortest
-    else:
+    if not is_opt:
         length = p.bound_c
+    elif shortest is None:
+        raise DecodeError("optimization answer set carries no shortest(l) atom")
+    elif not 1 <= shortest <= p.bound_c:
+        raise DecodeError(f"shortest({shortest}) lies outside 1..{p.bound_c}")
+    else:
+        length = shortest
     word = []
     for i in range(1, length + 1):
         if i not in synchro:

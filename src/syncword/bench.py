@@ -70,17 +70,15 @@ def generate_instances(cell: BenchCell, master_seed: int, start_draw: int = 0
     return out, discarded, draw
 
 
-def bench_run(cells: list[BenchCell], methods: list[str], seed: int,
-              solver_cmd: str | None = None, time_budget: float | None = None,
-              encoding: str = "image") -> str:
-    """Run every method on every generated instance and render the CSV."""
+def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings) -> str:
+    """Run every method on every generated instance and render the CSV;
+    `settings` are the other `SearchConfig` fields, the same for every method."""
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"need one or more distinct methods, got {','.join(methods)!r}")
     for cell in cells:
         if cell.count < 1:
             raise ValueError(f"cell ({cell.n},{cell.k}) has count {cell.count}, need >= 1")
-    configs = [SearchConfig(method=m, solver_cmd=solver_cmd, time_budget=time_budget,
-                            encoding=encoding) for m in methods]
+    configs = [SearchConfig(method=m, **settings) for m in methods]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, CSV_COLUMNS, restval="", lineterminator="\n")

@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_shortest)
     p.add_argument("fa")
     p.add_argument("--method", choices=METHODS, default="bfs")
-    p.add_argument("--initial-c", type=int, help="starting bound (default: the pair-merge bound L,"
-                   " or d = ceil(2*sqrt(n)) if d > L + 3; max(L, d) for asp1opt and asp2opt)")
     p.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("greedy", help="greedy upper-bound synchronizing sequence")
@@ -159,7 +157,6 @@ def _cmd_shortest(args) -> int:
     a = _load_fa(args.fa)
     cfg = SearchConfig(
         method=args.method,
-        initial_c=args.initial_c,
         solver_cmd=args.solver_cmd,
         time_budget=args.time_budget,
         legacy_syntax=args.legacy_syntax,

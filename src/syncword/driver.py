@@ -32,7 +32,7 @@ from syncword.automaton import (
 from syncword.errors import DecodeError, ParseError, SolverError, SoundnessError
 from syncword.exact import check_synchronizable, merge_bound, shortest_sync_bfs
 
-METHODS = ("bfs", "sat-internal", "sat-external", "asp1", "asp2", "asp1opt", "asp2opt")
+METHODS = ("bfs", "sat-internal", "sat-external", *aspenc.FORMULATIONS)
 
 SAT_CMD_ENV = "SYNCWORD_SAT_CMD"
 ASP_CMD_ENV = "SYNCWORD_ASP_CMD"
@@ -41,7 +41,6 @@ ASP_CMD_ENV = "SYNCWORD_ASP_CMD"
 @dataclass
 class SearchConfig:
     method: str = "bfs"
-    initial_c: int | None = None  # default: L, or d = ceil(2*sqrt(n)) if d > L + 3; opt: max(L, d)
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
     legacy_syntax: bool = False
@@ -52,8 +51,6 @@ class SearchConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.encoding not in satenc.ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}; expected {satenc.ENCODINGS}")
-        if self.initial_c is not None and self.initial_c < 1:
-            raise ValueError("initial_c must be >= 1")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
         if self.solver_cmd is not None and "{file}" not in self.solver_cmd:
@@ -213,7 +210,9 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     then after an UNSAT c at max(c + step, d) and after a SAT one bisect, no
     lower than it minus step, step doubling from 1 each probe; an answer has a
     SAT probe at its length and an UNSAT one at length - 1.  The opt programs
-    double c from max(L, d).  The witness is re-verified before it is reported.
+    double c from max(L, d).  No setting moves the start: it decides how many
+    probes run, not the length, nor a SAT method's witness, which is the model
+    of the probe at the length.  The witness is re-verified before it is reported.
     """
     start = time.monotonic()
     if cfg.method != "bfs" and not check_synchronizable(a):
@@ -230,7 +229,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     cap, d, step = max(1, cubic_length_bound(a.n)), default_initial_bound(a.n), 1
     direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
-    c = min(cfg.initial_c or (max(low, d) if direct or low < d - 3 else low), cap)
+    c = min(max(low, d) if direct or low < d - 3 else low, cap)
     calls: list[ProbeRecord] = []
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the

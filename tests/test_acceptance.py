@@ -14,7 +14,6 @@ import pytest
 
 from syncword.automaton import (
     cubic_length_bound,
-    default_initial_bound,
     generate_cerny,
     generate_random,
     is_synchronizing_word,
@@ -151,10 +150,7 @@ def test_criterion_7_asp_against_external_solver():
     for a in instances:
         opt = shortest_sync_bfs(a).length
         for method in ("asp1", "asp2", "asp1opt", "asp2opt"):
-            cfg = SearchConfig(
-                method=method, solver_cmd=cmd, initial_c=default_initial_bound(a.n)
-            )
-            outcome = find_shortest(a, cfg)
+            outcome = find_shortest(a, SearchConfig(method=method, solver_cmd=cmd))
             if outcome is None or outcome.length != opt:
                 disagreements += 1
     report(7, disagreements == 0, f"50 instances x 4 formulations")

@@ -221,7 +221,8 @@ class TestDecodeAnswerSet:
 
     def test_foreign_atoms_ignored(self, a1):
         p = emit(a1, "asp1", 2)
-        atoms = ["sink(1)", "path(1,2,3)", "noise", "synchro(1,2)", "synchro(2,1)"]
+        atoms = ["sink(1)", "path(1,2,3)", "noise", "synchro(1,2)", "synchro(2,1)",
+                 "shortest(2)"]
         assert decode_answer_set(p, atoms) == ((2, 1), None)
 
     def test_opt_requires_shortest(self, a1):
@@ -235,6 +236,14 @@ class TestDecodeAnswerSet:
                  "synchro(4,2)"]
         word, shortest = decode_answer_set(p, atoms)
         assert word == (2, 1, 1, 2) and shortest == 4
+
+    @pytest.mark.parametrize("length", [0, 7])
+    def test_opt_rejects_shortest_outside_bound(self, a1, length):
+        p = emit(a1, "asp1opt", 6)
+        atoms = [f"shortest({length})"] + [f"synchro({i},1)" for i in range(1, 8)]
+        with pytest.raises(DecodeError) as exc:
+            decode_answer_set(p, atoms)
+        assert str(exc.value) == f"shortest({length}) lies outside 1..6"
 
     def test_single_step_reset(self):
         p = AspProgram("asp1opt", 3, "")

@@ -10,7 +10,7 @@ from syncword.bench import (
     render_table,
     strip_timing,
 )
-from syncword.errors import SoundnessError
+from syncword.errors import ResourceLimitError, SoundnessError
 
 
 def rows_of(csv_text):
@@ -65,6 +65,20 @@ class TestBenchRun:
         second = bench_run(*args, seed=11)
         assert strip_timing(first) == strip_timing(second)
         assert first != second or first == second  # timing fields may differ
+
+    def test_encoding_reaches_every_method(self):
+        # The paper encoding finds the same probes, lengths and witnesses.
+        args = ([BenchCell(5, 2, 3)], ["bfs", "sat-internal"], 11)
+        paper = strip_timing(bench_run(*args, encoding="paper"))
+        assert paper == strip_timing(bench_run(*args, encoding="image"))
+
+    def test_time_budget_reaches_bfs(self):
+        with pytest.raises(ResourceLimitError, match="time budget"):
+            bench_run([BenchCell(6, 2, 1)], ["bfs"], seed=0, time_budget=1e-9)
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(TypeError):
+            bench_run([BenchCell(4, 2, 1)], ["bfs"], seed=0, initial_c=3)
 
     def test_aggregate_matches_rows(self):
         text = bench_run([BenchCell(5, 2, 5)], ["bfs"], seed=7)

@@ -126,7 +126,11 @@ class TestShortest:
         ("sat-external", "s SATISFIABLE\\nv 1 x 0\\n"),
         # An atom with an empty argument does not decode.
         ("asp1", "Answer: 1\\nsynchro(1,) synchro(2,1)\\n"),
-    ], ids=["asp-symbol-out-of-range", "sat-two-symbols", "sat-bad-literal", "asp-empty-argument"])
+        # A synchronizing word longer than the bound c = 4 is no optimum.
+        ("asp1opt", "Answer: 1\\nsynchro(1,2) synchro(2,1) synchro(3,1) synchro(4,2) "
+                    "synchro(5,1) synchro(6,1) synchro(7,1) shortest(7)\\nOPTIMUM FOUND\\n"),
+    ], ids=["asp-symbol-out-of-range", "sat-two-symbols", "sat-bad-literal", "asp-empty-argument",
+            "asp-shortest-beyond-bound"])
     def test_unreadable_solver_output_infra_error(self, a1_file, capsys, method, output):
         cmd = f"cat {{file}} >/dev/null; printf '{output}'"
         rc = cli_main(["shortest", a1_file, "--method", method, "--solver-cmd", cmd])

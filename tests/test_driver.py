@@ -16,6 +16,7 @@ from syncword.driver import (
     run_external,
 )
 from syncword.errors import ResourceLimitError, SolverError, SoundnessError
+from syncword.satenc import ENCODINGS, decode_model, encode_sat, solve_internal
 from syncword import exact
 from syncword.exact import check_synchronizable, shortest_sync_bfs
 from test_exact import synchronizable_sweep
@@ -25,10 +26,6 @@ class TestSearchConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             SearchConfig(method="magic")
-
-    def test_rejects_bad_initial_c(self):
-        with pytest.raises(ValueError):
-            SearchConfig(initial_c=0)
 
     def test_rejects_unknown_encoding(self):
         with pytest.raises(ValueError, match="unknown encoding"):
@@ -177,10 +174,16 @@ class TestFindShortestInternal:
                 if expected > 1:
                     assert verdicts[expected - 1] == "unsat"
 
-    def test_initial_c_override(self, a1):
-        outcome = find_shortest(a1, SearchConfig(method="sat-internal", initial_c=1))
-        assert outcome.length == 4
-        assert outcome.calls[0].c == 1 and outcome.calls[0].verdict == "unsat"
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_witness_is_the_model_at_the_length(self, encoding):
+        # The start decides only how many probes run: the witness is the
+        # solver's first model of the formula at the length itself.
+        for a in synchronizable_sweep(15, max_n=6, max_k=2):
+            cfg = SearchConfig(method="sat-internal", encoding=encoding)
+            outcome = find_shortest(a, cfg)
+            m = outcome.length
+            model = solve_internal(encode_sat(a, m, encoding))
+            assert outcome.witness == decode_model(a, m, model)
 
     def test_var_cap_checked_before_encoding(self, monkeypatch):
         # Cerny 160 starts at its pair-merge bound c = 12,720, far past the
@@ -194,13 +197,14 @@ class TestFindShortestInternal:
                           SearchConfig(method="sat-internal", encoding="paper"))
 
     def test_var_cap_checked_before_image_encoding(self, monkeypatch):
-        # Cerny 160 at c = 3200 needs 6,400 + 160 * 3,201 = 518,560 image variables.
+        # Cerny 100 starts at its pair-merge bound c = 4,950, which needs
+        # 9,900 + 100 * 4,951 = 505,000 image variables.
         def no_encoding(a, c, encoding):
             raise AssertionError("the formula was built before the var cap was checked")
 
         monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
-        with pytest.raises(ResourceLimitError, match="518560 variables"):
-            find_shortest(generate_cerny(160), SearchConfig(method="sat-internal", initial_c=3200))
+        with pytest.raises(ResourceLimitError, match="505000 variables"):
+            find_shortest(generate_cerny(100), SearchConfig(method="sat-internal"))
 
     @pytest.mark.parametrize("method, n, budget", [("bfs", 200, 0.01), ("sat-internal", 5, 0.2)])
     def test_time_budget_per_probe(self, method, n, budget):
@@ -344,12 +348,13 @@ class TestExternalMethods:
         assert outcome.length == 16
         assert [(r.c, r.verdict) for r in outcome.calls] == [(10, "unsat"), (19, "sat")]
 
-    def test_asp_opt_doubles_on_unsat(self, a1, fake_asp_cmd):
+    def test_asp_opt_doubles_on_unsat(self, fake_asp_cmd):
+        # L = ceil(2*sqrt(4)) = 4 lies below the length 5.
         outcome = find_shortest(
-            a1, SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd, initial_c=2)
+            generate_random(4, 2, 5), SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd)
         )
-        assert outcome.length == 4
-        assert [(r.c, r.verdict) for r in outcome.calls] == [(2, "unsat"), (4, "sat")]
+        assert outcome.length == 5
+        assert [(r.c, r.verdict) for r in outcome.calls] == [(4, "unsat"), (8, "sat")]
 
     def test_external_methods_agree_with_bfs(self, fake_sat_cmd, fake_asp_cmd):
         for a in synchronizable_sweep(5, max_n=5, max_k=2):
