@@ -9,6 +9,7 @@ that fails verification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -70,49 +71,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shortest synchronizing sequences for finite automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    encoding = argparse.ArgumentParser(add_help=False)
-    encoding.add_argument("--encoding", choices=satenc.ENCODINGS, default="image",
-                          help="SAT encoding: image sets (default) or the paper's six groups")
-    search = argparse.ArgumentParser(add_help=False, parents=[encoding])
-    search.add_argument("--solver-cmd", help="external solver command with a {file} placeholder")
+
+    def shared(*flags, parents=(), **kwargs) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False, parents=list(parents))
+        p.add_argument(*flags, **kwargs)
+        return p
+
+    fa = shared("fa", help="automaton file")
+    bound = shared("-c", type=int, required=True, dest="bound")
+    out = shared("-o", dest="out", default="-")
+    encoding = shared("--encoding", choices=satenc.ENCODINGS, default="image",
+                      help="SAT encoding: image sets (default) or the paper's six groups")
+    legacy = shared("--legacy-syntax", action="store_true", help="ASP syntax for older solvers")
+    search = shared("--solver-cmd", parents=[encoding, legacy],
+                    help="external solver command with a {file} placeholder")
     search.add_argument("--time-budget", type=float,
                         help="seconds per probe, for every method; exceeding it exits 3")
 
-    p = sub.add_parser("check", help="is the automaton synchronizable?")
+    p = sub.add_parser("check", parents=[fa], help="is the automaton synchronizable?")
     p.set_defaults(run=_cmd_check)
-    p.add_argument("fa")
 
-    p = sub.add_parser("shortest", parents=[search],
+    p = sub.add_parser("shortest", parents=[fa, search],
                        help="find a shortest synchronizing sequence")
     p.set_defaults(run=_cmd_shortest)
-    p.add_argument("fa")
     p.add_argument("--method", choices=METHODS, default="bfs")
-    p.add_argument("--legacy-syntax", action="store_true")
 
-    p = sub.add_parser("greedy", help="greedy upper-bound synchronizing sequence")
+    p = sub.add_parser("greedy", parents=[fa], help="greedy upper-bound synchronizing sequence")
     p.set_defaults(run=_cmd_greedy)
-    p.add_argument("fa")
 
     p = sub.add_parser("encode", help="emit a SAT or ASP encoding")
     p.set_defaults(run=_cmd_encode)
     enc_sub = p.add_subparsers(dest="target", required=True)
-    q = enc_sub.add_parser("sat", parents=[encoding])
-    q.add_argument("fa")
-    q.add_argument("-c", type=int, required=True, dest="bound")
-    q.add_argument("-o", dest="out", default="-")
-    q = enc_sub.add_parser("asp")
-    q.add_argument("fa")
+    enc_sub.add_parser("sat", parents=[fa, bound, out, encoding])
+    q = enc_sub.add_parser("asp", parents=[fa, bound, out, legacy])
     q.add_argument("--formulation", choices=aspenc.FORMULATIONS, required=True)
-    q.add_argument("-c", type=int, required=True, dest="bound")
-    q.add_argument("-o", dest="out", default="-")
-    q.add_argument("--legacy-syntax", action="store_true")
 
     p = sub.add_parser("decode", help="decode an external solver model")
     p.set_defaults(run=_cmd_decode)
     dec_sub = p.add_subparsers(dest="target", required=True)
-    q = dec_sub.add_parser("sat")
-    q.add_argument("fa")
-    q.add_argument("-c", type=int, required=True, dest="bound")
+    q = dec_sub.add_parser("sat", parents=[fa, bound])
     q.add_argument("--model", required=True, help="file of signed literals (v-line payload)")
 
     p = sub.add_parser("gen", help="generate an automaton")
@@ -144,6 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def search_settings(args: argparse.Namespace) -> dict:
+    """Every `SearchConfig` field but the method; a field with no flag raises."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)
+            if f.name != "method"}
+
+
 def _cmd_check(args) -> int:
     a = _load_fa(args.fa)
     if check_synchronizable(a):
@@ -155,14 +158,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_shortest(args) -> int:
     a = _load_fa(args.fa)
-    cfg = SearchConfig(
-        method=args.method,
-        solver_cmd=args.solver_cmd,
-        time_budget=args.time_budget,
-        legacy_syntax=args.legacy_syntax,
-        encoding=args.encoding,
-    )
-    outcome = find_shortest(a, cfg)
+    outcome = find_shortest(a, SearchConfig(method=args.method, **search_settings(args)))
     for rec in outcome.calls if outcome else ():
         print(f"probe c={rec.c} {rec.verdict} {rec.wall_time * 1000:.1f}ms", file=sys.stderr)
     return _print_word(outcome.witness if outcome else None)
@@ -230,8 +226,7 @@ def _parse_bench_spec(text: str) -> list[bench.BenchCell]:
 def _cmd_bench(args) -> int:
     cells = _parse_bench_spec(args.spec)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    csv_text = bench.bench_run(cells, methods, args.seed, solver_cmd=args.solver_cmd,
-                               time_budget=args.time_budget, encoding=args.encoding)
+    csv_text = bench.bench_run(cells, methods, args.seed, **search_settings(args))
     _emit(csv_text, args.csv)
     if args.table:
         print(bench.render_table(csv_text), file=sys.stderr)

@@ -36,10 +36,15 @@ METHODS = ("bfs", "sat-internal", "sat-external", *aspenc.FORMULATIONS)
 
 SAT_CMD_ENV = "SYNCWORD_SAT_CMD"
 ASP_CMD_ENV = "SYNCWORD_ASP_CMD"
+# Each external method and the variable that gives its solver command.
+CMD_ENV = {"sat-external": SAT_CMD_ENV, **dict.fromkeys(aspenc.FORMULATIONS, ASP_CMD_ENV)}
 
 
 @dataclass
 class SearchConfig:
+    """An external method given no `solver_cmd` reads it here from its `CMD_ENV`
+    variable (empty is unset); a command from either without {file} is a ValueError."""
+
     method: str = "bfs"
     solver_cmd: str | None = None  # template containing {file}
     time_budget: float | None = None  # seconds per probe, every method
@@ -53,6 +58,8 @@ class SearchConfig:
             raise ValueError(f"unknown encoding {self.encoding!r}; expected {satenc.ENCODINGS}")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
+        if self.solver_cmd is None and self.method in CMD_ENV:
+            self.solver_cmd = os.environ.get(CMD_ENV[self.method]) or None
         if self.solver_cmd is not None and "{file}" not in self.solver_cmd:
             raise ValueError(f"solver command {self.solver_cmd!r} lacks a {{file}} placeholder")
 
@@ -213,6 +220,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     double c from max(L, d).  No setting moves the start: it decides how many
     probes run, not the length, nor a SAT method's witness, which is the model
     of the probe at the length.  The witness is re-verified before it is reported.
+    An external method whose `cfg.solver_cmd` is None (see `SearchConfig`) raises
+    SolverError, but only once the not-synchronizable and one-state answers are out.
     """
     start = time.monotonic()
     if cfg.method != "bfs" and not check_synchronizable(a):
@@ -220,12 +229,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     if a.n == 1:
         # The decision encodings cannot express c = 0; the answer is fixed.
         return SearchOutcome(0, (), (), time.monotonic() - start)
-    cmd = None
-    if cfg.method not in ("bfs", "sat-internal"):
-        env = SAT_CMD_ENV if cfg.method == "sat-external" else ASP_CMD_ENV
-        cmd = cfg.solver_cmd or os.environ.get(env)
-        if cmd is None:
-            raise SolverError(f"method {cfg.method!r} needs a solver command (flag or env var)")
+    if cfg.method in CMD_ENV and cfg.solver_cmd is None:
+        raise SolverError(f"method {cfg.method!r} needs a solver command ({CMD_ENV[cfg.method]})")
     cap, d, step = max(1, cubic_length_bound(a.n)), default_initial_bound(a.n), 1
     direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
@@ -238,7 +243,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     lo, shortest = 0, None
     while shortest is None or shortest - lo > 1:
         try:
-            found, optimum, rec = _probe(a, c, cfg, cmd)
+            found, optimum, rec = _probe(a, c, cfg)
         except (ParseError, DecodeError) as exc:  # only solver output is parsed here
             raise SolverError(f"unreadable solver output at c={c}: {exc}") from exc
         calls.append(rec)
@@ -264,7 +269,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
 
     if (len(word) != shortest or not all(1 <= x <= a.k for x in word)
             or not is_synchronizing_word(a, word)):
-        kind = "internal" if cmd is None else "external solver"
+        kind = "external solver" if cfg.method in CMD_ENV else "internal"
         raise SoundnessError(
             f"decoded witness of length {len(word)} failed re-verification ({kind} path)"
         )
@@ -272,8 +277,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     return SearchOutcome(shortest, word, tuple(calls), time.monotonic() - start, peak)
 
 
-def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
-           ) -> tuple[Word | None, int | None, ProbeRecord]:
+def _probe(a: Automaton, c: int, cfg: SearchConfig) -> tuple[Word | None, int | None, ProbeRecord]:
     """One probe at bound c: (witness or None, the optimum when the method
     knows it, probe record)."""
     t0 = time.monotonic()
@@ -294,14 +298,14 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig, cmd: str | None
             model = satenc.solve_internal(cnf, time_budget=cfg.time_budget)
         else:
             dimacs = satenc.write_dimacs(satenc.encode_sat(a, c, cfg.encoding))
-            result = run_external(dimacs, cmd, cfg.time_budget, suffix=".cnf")
+            result = run_external(dimacs, cfg.solver_cmd, cfg.time_budget, suffix=".cnf")
             model = parse_sat_solver_output(result.stdout)
             memory_kb = result.memory_kb
         if model is not None:
             word = satenc.decode_model(a, c, model)
     else:
         program = aspenc.emit(a, method, c, cfg.legacy_syntax)
-        result = run_external(program.text, cmd, cfg.time_budget, suffix=".lp")
+        result = run_external(program.text, cfg.solver_cmd, cfg.time_budget, suffix=".lp")
         atoms = parse_asp_solver_output(result.stdout, expect_optimum=method.endswith("opt"))
         memory_kb = result.memory_kb
         if atoms is not None:

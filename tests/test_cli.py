@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from syncword.cli import cli_main
+from syncword.cli import build_parser, cli_main
+from syncword.driver import SearchConfig
 from syncword.satenc import VarMap
 
 from conftest import A1_TEXT
@@ -103,6 +106,16 @@ class TestShortest:
         rc = cli_main(["shortest", a1_file, "--method", "sat-external", "--solver-cmd", "echo hi"])
         assert rc == 2
         assert "lacks a {file} placeholder" in capsys.readouterr().err
+
+    def test_env_solver_cmd_without_placeholder_usage_error(self, a1_file, monkeypatch, capsys):
+        monkeypatch.setenv("SYNCWORD_SAT_CMD", "echo hi")
+        assert cli_main(["shortest", a1_file, "--method", "sat-external"]) == 2
+        assert "lacks a {file} placeholder" in capsys.readouterr().err
+
+    def test_empty_env_solver_cmd_infra_error(self, a1_file, monkeypatch, capsys):
+        monkeypatch.setenv("SYNCWORD_ASP_CMD", "")
+        assert cli_main(["shortest", a1_file, "--method", "asp1"]) == 3
+        assert "needs a solver command" in capsys.readouterr().err
 
     def test_zero_time_budget_usage_error(self, a1_file, capsys):
         assert cli_main(["shortest", a1_file, "--time-budget", "0"]) == 2
@@ -325,6 +338,34 @@ class TestBench:
         assert rc == 2
         assert "lacks a {file} placeholder" in capsys.readouterr().err
 
+    def test_env_solver_cmd_without_placeholder_fails_before_any_solve(self, monkeypatch,
+                                                                        capsys):
+        import syncword.bench as bench_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved before the solver command was checked")
+
+        monkeypatch.setattr(bench_mod, "find_shortest", no_solve)
+        monkeypatch.setenv("SYNCWORD_ASP_CMD", "echo hi")
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs,asp1", "--seed", "0"])
+        assert rc == 2
+        assert "lacks a {file} placeholder" in capsys.readouterr().err
+
+    def test_legacy_syntax_reaches_the_emitter(self, fake_asp_cmd, monkeypatch, capsys):
+        from syncword import aspenc
+
+        emit, seen = aspenc.emit, []
+
+        def spy(a, formulation, c, legacy_syntax=False):
+            seen.append(legacy_syntax)
+            return emit(a, formulation, c, legacy_syntax)
+
+        monkeypatch.setattr(aspenc, "emit", spy)
+        rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "asp1opt", "--seed", "0",
+                       "--legacy-syntax", "--solver-cmd", fake_asp_cmd])
+        assert rc == 0, capsys.readouterr().err
+        assert seen and all(seen)
+
     def test_negative_time_budget_usage_error(self, capsys):
         rc = cli_main(["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0",
                        "--time-budget", "-1"])
@@ -359,6 +400,20 @@ class TestUserPaths:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+
+class TestSearchSettings:
+    @pytest.mark.parametrize("argv", [
+        ["shortest", "x.fa"],
+        ["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "0"],
+    ], ids=["shortest", "bench"])
+    def test_every_setting_has_a_flag(self, argv):
+        from syncword.cli import search_settings
+
+        args = build_parser().parse_args(argv)
+        for f in dataclasses.fields(SearchConfig):
+            assert f.name == "method" or hasattr(args, f.name), f.name
+        assert SearchConfig(**search_settings(args)) == SearchConfig()
 
 
 class TestUsage:

@@ -35,6 +35,20 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="lacks a {file} placeholder"):
             SearchConfig(method="sat-external", solver_cmd="echo hi")
 
+    @pytest.mark.parametrize("method, env", [("sat-external", "SYNCWORD_SAT_CMD"),
+                                             ("asp2opt", "SYNCWORD_ASP_CMD")])
+    def test_rejects_env_solver_cmd_without_placeholder(self, method, env, monkeypatch):
+        monkeypatch.setenv(env, "echo hi")
+        with pytest.raises(ValueError, match="lacks a {file} placeholder"):
+            SearchConfig(method=method)
+
+    def test_reads_the_env_solver_cmd_when_built(self, fake_asp_cmd, monkeypatch):
+        monkeypatch.setenv("SYNCWORD_ASP_CMD", fake_asp_cmd)
+        monkeypatch.setenv("SYNCWORD_SAT_CMD", "echo hi")  # another method's variable
+        assert SearchConfig(method="asp1").solver_cmd == fake_asp_cmd
+        assert SearchConfig(method="asp1", solver_cmd="x {file}").solver_cmd == "x {file}"
+        assert SearchConfig(method="sat-internal").solver_cmd is None
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_time_budget(self, budget):
         with pytest.raises(ValueError, match="time_budget must be > 0"):
@@ -372,6 +386,11 @@ class TestExternalMethods:
     def test_missing_solver_cmd(self, a1, monkeypatch):
         monkeypatch.delenv("SYNCWORD_ASP_CMD", raising=False)
         with pytest.raises(SolverError, match="solver command"):
+            find_shortest(a1, SearchConfig(method="asp1"))
+
+    def test_empty_env_var_is_unset(self, a1, monkeypatch):
+        monkeypatch.setenv("SYNCWORD_ASP_CMD", "")
+        with pytest.raises(SolverError, match="needs a solver command"):
             find_shortest(a1, SearchConfig(method="asp1"))
 
     def test_env_var_fallback(self, a1, fake_asp_cmd, monkeypatch):
