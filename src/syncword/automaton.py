@@ -63,22 +63,6 @@ def is_synchronizing_word(a: Automaton, w: Sequence[int]) -> bool:
     return len(targets) == 1
 
 
-def word_from_letters(text: str) -> Word:
-    """Parse a word given either as letters ("baab") or numbers ("2 1 1 2")."""
-    text = text.strip()
-    if not text:
-        return ()
-    if any(ch.isalpha() for ch in text):
-        word = tuple(ord(ch) - ord("a") + 1 for ch in text if not ch.isspace())
-        if not all(1 <= x <= 26 for x in word):
-            raise ValueError(f"a word in letters takes only a..z, got {text!r}")
-        return word
-    word = tuple(int(tok) for tok in text.split())
-    if min(word) < 1:
-        raise ValueError(f"a word in numbers takes symbols from 1 up, got {text!r}")
-    return word
-
-
 def word_to_letters(w: Sequence[int]) -> str:
     """Render a word as letters when the alphabet fits a..z, else as numbers."""
     if all(1 <= x <= 26 for x in w):
@@ -86,11 +70,19 @@ def word_to_letters(w: Sequence[int]) -> str:
     return " ".join(str(x) for x in w)
 
 
+def int_token(tok: str) -> int:
+    """int() of an optional '-' and ASCII digits; '+3', '1_0' or other digits raise ValueError."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer token: {tok!r}")
+    return int(tok)
+
+
 def parse_fa(text: str) -> Automaton:
     """Parse the native FA format.
 
     First non-comment line is "n k", then n lines of k space-separated
-    successor states (row s, column x holds delta(s, x)).  Lines starting
+    decimal successor states (row s, column x holds delta(s, x)).  Lines starting
     with '#' are comments.  Partial tables are rejected.
     """
     header: tuple[int, int] | None = None
@@ -100,7 +92,7 @@ def parse_fa(text: str) -> Automaton:
         if not line or line.startswith("#"):
             continue
         try:
-            values = [int(tok) for tok in line.split()]
+            values = [int_token(tok) for tok in line.split()]
         except ValueError:
             raise ParseError(f"non-integer token in {line!r}", lineno) from None
         if header is None:

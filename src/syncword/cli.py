@@ -226,6 +226,7 @@ def _parse_bench_spec(text: str) -> list[bench.BenchCell]:
 def _cmd_bench(args) -> int:
     cells = _parse_bench_spec(args.spec)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    _emit("", args.csv)  # truncate --csv first, as `>` would: a bad path fails before any solve
     csv_text = bench.bench_run(cells, methods, args.seed, **search_settings(args))
     _emit(csv_text, args.csv)
     if args.table:

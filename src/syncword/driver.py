@@ -231,7 +231,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
         return SearchOutcome(0, (), (), time.monotonic() - start)
     if cfg.method in CMD_ENV and cfg.solver_cmd is None:
         raise SolverError(f"method {cfg.method!r} needs a solver command ({CMD_ENV[cfg.method]})")
-    cap, d, step = max(1, cubic_length_bound(a.n)), default_initial_bound(a.n), 1
+    cap, d, step = cubic_length_bound(a.n), default_initial_bound(a.n), 1
     direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
     c = min(max(low, d) if direct or low < d - 3 else low, cap)

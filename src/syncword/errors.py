@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """Malformed input text (FA file, KISS2 file, DIMACS, model, answer set)."""
+    """Malformed input text (FA file, KISS2 file, model, answer set)."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -1,4 +1,4 @@
-"""SAT encoding of "a synchronizing word of length c exists", DIMACS I/O,
+"""SAT encoding of "a synchronizing word of length c exists", DIMACS output,
 model decoding, and a small internal DPLL oracle for desk-scale checks.
 
 Two encodings share the symbol variables X(l,x), numbered first, so one
@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from syncword.automaton import Automaton, Word
+from syncword.automaton import Automaton, Word, int_token
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
 
 Clause = list[int]
@@ -161,49 +161,6 @@ def write_dimacs(cnf: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF (round-trips with write_dimacs, minus the VarMap); a
-    line that is exactly "%", the trailer of SATLIB files, ends the clauses."""
-    var_count = None
-    clauses: list[Clause] = []
-    current: Clause = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line == "%":
-            break
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if var_count is not None:
-                raise ParseError(f"second problem line {line!r}", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf" or not all(p.isdecimal() for p in parts[2:]):
-                raise ParseError(f"bad problem line {line!r}", lineno)
-            var_count = int(parts[2])
-            continue
-        if var_count is None:
-            raise ParseError("clause before problem line", lineno)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"bad literal token {tok!r}", lineno) from None
-            if abs(lit) > var_count:
-                raise ParseError(f"literal {lit} out of range for {var_count} vars", lineno)
-            if lit == 0:
-                if not current:
-                    raise ParseError("empty clause", lineno)
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if var_count is None:
-        raise ParseError("missing problem line")
-    if current:
-        raise ParseError("trailing clause not 0-terminated")
-    return CnfInstance(var_count, clauses)
-
-
 def parse_model_literals(text: str) -> dict[int, bool]:
     """Parse a signed-literal model listing (the usual solver v-line payload).
 
@@ -214,7 +171,7 @@ def parse_model_literals(text: str) -> dict[int, bool]:
         if tok in ("v", "V"):
             continue
         try:
-            lit = int(tok)
+            lit = int_token(tok)
         except ValueError:
             raise ParseError(f"bad literal token {tok!r}") from None
         if lit == 0:

@@ -1,13 +1,33 @@
 #!/usr/bin/env python3
-"""Stand-in SAT solver for adapter tests: DIMACS in, standard s/v lines out."""
+"""Stand-in SAT solver for adapter tests: DIMACS in, standard s/v lines out.
+
+It reads only what `write_dimacs` writes, and exits with no output unless the
+file has a "p cnf V C" line and exactly C 0-terminated clauses, so the adapter
+reports a malformed file as a solver failure.
+"""
 
 import sys
 
-from syncword.satenc import parse_dimacs, solve_internal
+from syncword.satenc import CnfInstance, solve_internal
+
+
+def read_dimacs(text):
+    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("c")]
+    p, fmt, nvars, nclauses = lines[0].split()
+    clauses, current = [], []
+    for tok in " ".join(lines[1:]).split():
+        if tok == "0":
+            clauses.append(current)
+            current = []
+        else:
+            current.append(int(tok))
+    if (p, fmt) != ("p", "cnf") or current or len(clauses) != int(nclauses):
+        sys.exit(1)
+    return CnfInstance(int(nvars), clauses)
 
 
 def main() -> int:
-    cnf = parse_dimacs(open(sys.argv[1]).read())
+    cnf = read_dimacs(open(sys.argv[1]).read())
     model = solve_internal(cnf)
     if model is None:
         print("s UNSATISFIABLE")

@@ -19,7 +19,6 @@ from syncword.automaton import (
     is_synchronizing_word,
     parse_fa,
     serialize_fa,
-    word_from_letters,
 )
 from syncword.bench import BenchCell, bench_run, strip_timing
 from syncword.driver import ASP_CMD_ENV, SearchConfig, find_shortest
@@ -67,7 +66,7 @@ def optima200(sweep200):
 def test_criterion_1_fig1_instance():
     start = time.monotonic()
     a1 = parse_fa(A1_TEXT)
-    baab = word_from_letters("baab")
+    baab = (2, 1, 1, 2)
     ok = is_synchronizing_word(a1, baab)
     res = shortest_sync_bfs(a1)
     ok = ok and res.length == 4

@@ -12,7 +12,6 @@ from syncword.automaton import (
     parse_fa,
     parse_kiss2,
     serialize_fa,
-    word_from_letters,
     word_to_letters,
 )
 from syncword.errors import ParseError
@@ -35,7 +34,7 @@ class TestApplyWord:
         assert apply_word(a1, 1, ()) == 1
 
     def test_baab_from_every_state_lands_on_s1(self, a1):
-        w = word_from_letters("baab")
+        w = (2, 1, 1, 2)
         for q in (1, 2, 3):
             assert apply_word(a1, q, w) == 1
 
@@ -60,7 +59,7 @@ class TestApplyWord:
 
 class TestIsSynchronizing:
     def test_baab(self, a1):
-        assert is_synchronizing_word(a1, word_from_letters("baab"))
+        assert is_synchronizing_word(a1, (2, 1, 1, 2))
 
     def test_b_alone_is_not(self, a1):
         # image of {1,2,3} under b is {1,2}
@@ -110,7 +109,10 @@ class TestParseFa:
         ("2 1\n2\nx\n", "line 3: non-integer token in 'x'", 3),
         ("0 2\n", "line 1: need n >= 1 and k >= 1, got n=0, k=2", 1),
         ("# no header\n\n", "empty input, expected 'n k' header", None),
-    ], ids=["non-integer", "n-below-1", "empty"])
+        ("10 1\n1_0\n" + "1\n" * 9, "line 2: non-integer token in '1_0'", 2),
+        ("3 1\n\u0663\n1\n1\n", "line 2: non-integer token in '\u0663'", 2),
+        ("3 1\n+3\n1\n1\n", "line 2: non-integer token in '+3'", 2),
+    ], ids=["non-integer", "n-below-1", "empty", "underscore", "non-ascii-digit", "plus-sign"])
     def test_rejected_input_message(self, text, message, line):
         with pytest.raises(ParseError) as exc:
             parse_fa(text)
@@ -238,20 +240,7 @@ class TestKiss2:
 
 class TestHelpers:
     def test_word_letters_round_trip(self):
-        assert word_from_letters("baab") == (2, 1, 1, 2)
         assert word_to_letters((2, 1, 1, 2)) == "baab"
-        assert word_from_letters("2 1 1 2") == (2, 1, 1, 2)
-        assert word_from_letters("") == ()
-
-    @pytest.mark.parametrize("text", ["B a", "ab{", "a1", "é", "a-b"])
-    def test_word_letters_outside_a_to_z_rejected(self, text):
-        with pytest.raises(ValueError, match="a..z"):
-            word_from_letters(text)
-
-    @pytest.mark.parametrize("text", ["0 -3", "2 0 1", "-1"])
-    def test_word_numbers_below_one_rejected(self, text):
-        with pytest.raises(ValueError, match="from 1 up"):
-            word_from_letters(text)
 
     def test_cubic_bound_values(self):
         # n(7n^2 + 6n - 16)/48, floored

@@ -338,6 +338,20 @@ class TestBench:
         assert rc == 2
         assert "lacks a {file} placeholder" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_csv_fails_before_any_solve(self, where, tmp_path, monkeypatch, capsys):
+        import syncword.bench as bench_mod
+
+        def no_solve(a, cfg):
+            raise AssertionError("solved before the --csv path was checked")
+
+        monkeypatch.setattr(bench_mod, "find_shortest", no_solve)
+        csv = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        rc = cli_main(["bench", "--spec", "12:2:20", "--methods", "bfs,sat-internal",
+                       "--seed", "0", "--csv", str(csv)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_env_solver_cmd_without_placeholder_fails_before_any_solve(self, monkeypatch,
                                                                         capsys):
         import syncword.bench as bench_mod

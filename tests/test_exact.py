@@ -9,7 +9,6 @@ from syncword.automaton import (
     generate_random,
     is_synchronizing_word,
     parse_fa,
-    word_from_letters,
 )
 from syncword.errors import ResourceLimitError
 from syncword.exact import check_synchronizable, greedy_sync, merge_bound, shortest_sync_bfs
@@ -100,7 +99,7 @@ class TestShortestSyncBfs:
     def test_a1_optimum_and_witness(self, a1):
         res = shortest_sync_bfs(a1)
         assert res.length == 4
-        assert res.witness == word_from_letters("baab")
+        assert res.witness == (2, 1, 1, 2)
         assert res.sink == 1
 
     def test_a1_level_structure(self, a1):
