@@ -18,6 +18,7 @@ from syncword.automaton import (
     Word,
     generate_cerny,
     generate_random,
+    int_token,
     is_synchronizing_word,
     parse_fa,
     parse_kiss2,
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     fa = shared("fa", help="automaton file")
-    bound = shared("-c", type=int, required=True, dest="bound")
+    bound = shared("-c", type=int_token, required=True, dest="bound")
     out = shared("-o", dest="out", default="-")
     encoding = shared("--encoding", choices=satenc.ENCODINGS, default="image",
                       help="SAT encoding: image sets (default) or the paper's six groups")
@@ -116,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
     q = gen_sub.add_parser("random")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-k", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("-n", type=int_token, required=True)
+    q.add_argument("-k", type=int_token, required=True)
+    q.add_argument("--seed", type=int_token, required=True)
     q.add_argument("--require-sync", action="store_true",
                    help="redraw with successive seeds until synchronizable")
     q = gen_sub.add_parser("cerny")
-    q.add_argument("-n", type=int, required=True)
+    q.add_argument("-n", type=int_token, required=True)
 
     p = sub.add_parser("import", help="import a KISS2 machine as native format")
     p.set_defaults(run=_cmd_import)
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True, help="n:k:count[,n:k:count...]")
     p.add_argument("--methods", required=True, help="comma-separated method list")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int_token, required=True)
     p.add_argument("--csv", default="-", help="output path (default stdout)")
     p.add_argument("--table", action="store_true", help="also print an aligned table to stderr")
 
@@ -215,9 +216,9 @@ def _parse_bench_spec(text: str) -> list[bench.BenchCell]:
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) == 2 and parts[0] == "cerny":
-            cells.append(bench.BenchCell(int(parts[1]), 2, 1, family="cerny"))
+            cells.append(bench.BenchCell(int_token(parts[1]), 2, 1, family="cerny"))
         elif len(parts) == 3:
-            cells.append(bench.BenchCell(int(parts[0]), int(parts[1]), int(parts[2])))
+            cells.append(bench.BenchCell(*map(int_token, parts)))
         else:
             raise ValueError(f"bad bench spec cell {chunk!r}, expected n:k:count or cerny:n")
     return cells

@@ -1,4 +1,4 @@
-"""Exact analysis: pair check and merge bound, bidirectional subset BFS, greedy heuristic.
+"""Exact analysis: pair distances and check, bidirectional subset BFS, greedy heuristic.
 
 A set of states is a bit mask of any width (bit s-1 set means state s is in
 the set).  Pairs are imaged state by state (`_image_bits`), larger sets byte
@@ -51,15 +51,15 @@ def _image(mask: int, tabs: list[list[int]]) -> int:
     return out
 
 
-def _pair_merge_bfs(bits: list[list[int]]) -> tuple[dict[int, int], int]:
+def _pair_merge_bfs(bits: list[list[int]]) -> dict[int, tuple[int, int]]:
     """Backward BFS on the pair automaton from the merged (diagonal) pairs.
 
-    Returns (sym, depth): sym maps the two-bit mask of every mergeable pair to
-    the first symbol of a shortest word merging it, and depth is the length of
-    the longest of those words.  Runs in O(n^2 * k).
+    Maps the two-bit mask of every mergeable pair {p,q} to (d, x): d = d(p,q)
+    is the length of a shortest word merging it, and x that word's first
+    symbol.  Runs in O(n^2 * k).
     """
     n = len(bits[0])
-    sym: dict[int, int] = {}
+    merges: dict[int, tuple[int, int]] = {}
     # Backward edges: applying x to {p,q} yields {p',q'}; so from {p',q'} we
     # can reach {p,q} going backward.
     preds: dict[int, list[tuple[int, int]]] = {}
@@ -71,27 +71,33 @@ def _pair_merge_bfs(bits: list[list[int]]) -> tuple[dict[int, int], int]:
                 img = row[p] | row[q]
                 if img & (img - 1):
                     preds.setdefault(img, []).append((pair, x))
-                elif pair not in sym:
-                    sym[pair] = x
+                elif pair not in merges:
+                    merges[pair] = (1, x)
                     level.append(pair)
-    depth = 0
+    depth = 1
     while level:  # level by level, in the order a FIFO queue would take
         depth, last, level = depth + 1, level, []
         for merged in last:
             for pair, x in preds.get(merged, ()):
-                if pair not in sym:
-                    sym[pair] = x
+                if pair not in merges:
+                    merges[pair] = (depth, x)
                     level.append(pair)
-    return sym, depth
+    return merges
 
 
-@lru_cache(maxsize=1)  # `find_shortest` asks the check, then the bound, of one automaton
+@lru_cache(maxsize=1)  # the check, the bound and each probe's encoding ask about one automaton
+def pair_merges(a: Automaton) -> dict[int, tuple[int, int]]:
+    """`_pair_merge_bfs` of `a`; a pair missing from it never merges."""
+    return _pair_merge_bfs(_image_bits(a))
+
+
 def merge_bound(a: Automaton) -> int | None:
     """Length of the longest shortest pair-merging word, or None iff some pair
     never merges.  Every synchronizing word merges every pair, so this is a
     lower bound on the shortest synchronizing length."""
-    sym, depth = _pair_merge_bfs(_image_bits(a))
-    return depth if len(sym) == a.n * (a.n - 1) // 2 else None
+    if not check_synchronizable(a):
+        return None
+    return max((d for d, _ in pair_merges(a).values()), default=0)
 
 
 def check_synchronizable(a: Automaton) -> bool:
@@ -100,7 +106,7 @@ def check_synchronizable(a: Automaton) -> bool:
     An automaton is synchronizable iff every unordered state pair can be
     merged, which the pair-automaton BFS decides in O(n^2 * k).
     """
-    return merge_bound(a) is not None
+    return len(pair_merges(a)) == a.n * (a.n - 1) // 2
 
 
 def _columns(level: list[int], n: int) -> list[int]:
@@ -213,18 +219,16 @@ def greedy_sync(a: Automaton) -> Word | None:
     by at least one state and appends at most C(n,2) symbols, so the result
     length is O(n^3).  Returns None iff the automaton is not synchronizable.
     """
-    bits = _image_bits(a)
-    sym, _ = _pair_merge_bfs(bits)
-    if len(sym) < a.n * (a.n - 1) // 2:
+    if not check_synchronizable(a):
         return None
-    tabs = _byte_tables(bits)
+    merges, tabs = pair_merges(a), _byte_tables(_image_bits(a))
     image = (1 << a.n) - 1
     word: list[int] = []
     while image & (image - 1):
         rest = image & (image - 1)
         pair = image ^ (rest & (rest - 1))  # the two lowest states
         while pair & (pair - 1):
-            x = sym[pair]
+            x = merges[pair][1]
             word.append(x)
             image = _image(image, tabs[x - 1])
             pair = _image(pair, tabs[x - 1])

@@ -4,13 +4,16 @@ model decoding, and a small internal DPLL oracle for desk-scale checks.
 Two encodings share the symbol variables X(l,x), numbered first, so one
 decoder reads both.  The default "image" encoding tracks the image set: T(l,s)
 means state s is in the image after l-1 symbols, with units T(1,s),
-T(l,s) & X(l,x) -> T(l+1,delta(s,x)), and at most one true T(c+1,.).  The
-"paper" encoding is the paper's six groups: exactly one symbol per step,
-exactly one traced state per (start state, step), initial-state units,
-transition propagation, exactly one sink, and all-states-reach-sink.  Both
-are satisfiable by exactly the X assignments that spell a synchronizing word.
-The decision predicate is monotone in c (images only shrink), which the binary
-search driver relies on.
+T(l,s) & X(l,x) -> T(l+1,delta(s,x)), and pair-distance clauses
+-T(l,p) | -T(l,q) wherever the shortest word merging p and q, d(p,q), is
+longer than the c+1-l symbols left; at l = c+1 they say at most one state is
+left.  An exact image always satisfies them, so they prune without changing
+which X assignments are models.  The "paper" encoding is the paper's six
+groups: exactly one symbol per step, exactly one traced state per (start
+state, step), initial-state units, transition propagation, exactly one sink,
+and all-states-reach-sink.  Both are satisfiable by exactly the X assignments
+that spell a synchronizing word.  The decision predicate is monotone in c
+(images only shrink), which the binary search driver relies on.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 from syncword.automaton import Automaton, Word, int_token
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
+from syncword.exact import pair_merges
 
 Clause = list[int]
 ENCODINGS = ("image", "paper")
@@ -74,12 +78,11 @@ class CnfInstance:
     varmap: VarMap | None = field(default=None)
 
     def __post_init__(self):
-        for cl in self.clauses:
-            if not cl:
-                raise ValueError("empty clause at construction")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"literal {lit} out of range for {self.var_count} vars")
+        if not all(self.clauses):
+            raise ValueError("empty clause at construction")
+        for lit in set().union(*self.clauses):  # each distinct literal once
+            if lit == 0 or abs(lit) > self.var_count:
+                raise ValueError(f"literal {lit} out of range for {self.var_count} vars")
 
 
 def _exactly_one(variables: list[int], out: list[Clause]) -> None:
@@ -98,6 +101,8 @@ def encode_sat(a: Automaton, c: int, encoding: str = "image") -> CnfInstance:
     1..c+1; leaving step c+1 unconstrained would let every sink check succeed
     vacuously.  The image encoding needs no at-least-one on T: the image is
     never empty, and an extra true T(l,s) only makes the final check harder.
+    Its pair-distance clauses, from one cached pair BFS per automaton, number
+    sum over p<q of min(d(p,q), c+1).
     """
     n, k = a.n, a.k
     vm = VarMap(n, k, c, encoding)
@@ -108,14 +113,20 @@ def encode_sat(a: Automaton, c: int, encoding: str = "image") -> CnfInstance:
         _exactly_one([vm.x(l, x) for x in range(1, k + 1)], clauses)
     if encoding == "image":
         # The image starts as every state, T(l,s) and X(l,x) put delta(s,x) in
-        # the next image, and at most one state is left after the last step.
-        clauses += [[vm.t(1, s)] for s in range(1, n + 1)]
+        # the next image, and image l holds no pair that the c+1-l symbols
+        # left cannot merge (d = infinity for a pair that never merges).
+        base = [vm.t(l, 0) for l in range(1, c + 2)]  # T(l,s) = base[l-1] + s
+        clauses += [[base[0] + s] for s in range(1, n + 1)]
         for l in range(1, c + 1):
-            for s in range(1, n + 1):
-                for x in range(1, k + 1):
-                    clauses.append([-vm.t(l, s), -vm.x(l, x), vm.t(l + 1, a.delta[s - 1][x - 1])])
-        clauses += [[-vm.t(c + 1, s), -vm.t(c + 1, r)]
-                    for s in range(1, n + 1) for r in range(s + 1, n + 1)]
+            xs = [vm.x(l, x) for x in range(1, k + 1)]
+            for s, row in enumerate(a.delta, start=1):
+                for x, t in zip(xs, row):
+                    clauses.append([-base[l - 1] - s, -x, base[l] + t])
+        merges = pair_merges(a)
+        for p in range(1, n + 1):
+            for q in range(p + 1, n + 1):
+                d = merges.get(1 << p - 1 | 1 << q - 1, (c + 1,))[0]
+                clauses += [[-b - p, -b - q] for b in base[max(0, c + 1 - d):]]
         return CnfInstance(vm.var_count, clauses, vm)
     # One current state per start state and step, including the final step.
     for i in range(1, n + 1):
@@ -151,7 +162,8 @@ def write_dimacs(cnf: CnfInstance) -> str:
         vm = cnf.varmap
         lines.append(f"c syncword instance n={vm.n} k={vm.k} c={vm.c} encoding={vm.encoding}")
         if vm.encoding == "image":
-            lines.append("c vars: X(l,x)=(l-1)*k+x; T(l,s)=c*k+(l-1)*n+s, s in image after l-1")
+            lines.append("c vars: X(l,x)=(l-1)*k+x; T(l,s)=c*k+(l-1)*n+s, s in image after l-1;")
+            lines.append("c       -T(l,p) -T(l,q) when merging p,q takes more than c+1-l symbols")
         else:
             lines.append("c vars: X(l,x)=(l-1)*k+x; S(i,j,s)=c*k+((i-1)*(c+1)+(j-1))*n+s;")
             lines.append("c       Y(i)=c*k+n*(c+1)*n+i")

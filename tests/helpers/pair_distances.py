@@ -1,0 +1,27 @@
+"""Test-only reference: the length of a shortest word merging each state pair.
+
+Built round by round from the merged pairs {s, s}: a pair first reached in
+round r has some symbol taking it to a pair of round r - 1, so d(p,q) = r.  It
+shares no code with `syncword.exact`, whose pair BFS the encoder reads.
+"""
+
+
+def pair_distances(a):
+    """{(p, q): d(p,q)} for every pair p < q that some word merges (1-based)."""
+    known = {(s, s): 0 for s in range(1, a.n + 1)}
+    rnd = 0
+    while True:
+        rnd += 1
+        new = {}
+        for p in range(1, a.n + 1):
+            for q in range(p + 1, a.n + 1):
+                if (p, q) in known:
+                    continue
+                for x in range(a.k):
+                    img = tuple(sorted((a.delta[p - 1][x], a.delta[q - 1][x])))
+                    if img in known:
+                        new[p, q] = rnd
+                        break
+        if not new:
+            return {pq: d for pq, d in known.items() if pq[0] != pq[1]}
+        known.update(new)

@@ -106,10 +106,13 @@ def test_criterion_3_encoder_soundness_completeness(sweep200, optima200, encodin
 
 @pytest.mark.parametrize("encoding", ["image", "paper"])
 def test_criterion_4_driver_agreement(sweep200, optima200, encoding):
+    # The X variables come first and the DPLL branches true-first, so the
+    # model at the length spells the lexicographically least shortest word:
+    # the BFS witness.
     bad = 0
     for a, opt in zip(sweep200, optima200):
         outcome = find_shortest(a, SearchConfig(method="sat-internal", encoding=encoding))
-        if outcome.length != opt:
+        if outcome.length != opt or outcome.witness != shortest_sync_bfs(a).witness:
             bad += 1
             continue
         verdicts = {r.c: r.verdict for r in outcome.calls}

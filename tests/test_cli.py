@@ -179,7 +179,7 @@ class TestEncode:
     def test_sat_image_encoding_is_the_default(self, a1_file, capsys):
         assert cli_main(["encode", "sat", a1_file, "-c", "4"]) == 0
         out = capsys.readouterr().out
-        assert "encoding=image" in out and "\np cnf 23 38\n" in out
+        assert "encoding=image" in out and "\np cnf 23 41\n" in out
 
     def test_asp_to_stdout(self, a1_file, capsys):
         rc = cli_main(["encode", "asp", a1_file, "--formulation", "asp2", "-c", "3"])
@@ -436,3 +436,20 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert cli_main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "-n", "1_0", "-k", "2", "--seed", "0"],
+        ["gen", "random", "-n", "10", "-k", "+2", "--seed", "0"],
+        ["gen", "random", "-n", "10", "-k", "2", "--seed", "\u0663"],  # an Arabic-Indic 3
+        ["gen", "cerny", "-n", "1_0"],
+        ["bench", "--spec", "1_2:2:1", "--methods", "bfs", "--seed", "0"],
+        ["bench", "--spec", "cerny:+4", "--methods", "bfs", "--seed", "0"],
+        ["bench", "--spec", "4:2:1", "--methods", "bfs", "--seed", "1_0"],
+    ])
+    def test_integer_arguments_take_ascii_digits_only(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bound_takes_ascii_digits_only(self, a1_file, capsys):
+        assert cli_main(["encode", "sat", a1_file, "-c", "0_4"]) == 2
+        assert capsys.readouterr().out == ""

@@ -96,9 +96,9 @@ class TestFindShortestInternal:
         assert [(r.c, r.verdict) for r in outcome.calls] == trace
 
     def test_sat_methods_run_the_pair_bfs_once(self, monkeypatch):
-        # find_shortest asks for the check and then the bound; merge_bound's
-        # cache keeps that to one pair BFS.
-        exact.merge_bound.cache_clear()
+        # find_shortest asks for the check and then the bound, and each probe
+        # encodes the pair distances; pair_merges's cache keeps that to one pair BFS.
+        exact.pair_merges.cache_clear()
         runs = []
         pair_bfs = exact._pair_merge_bfs
         monkeypatch.setattr(exact, "_pair_merge_bfs", lambda bits: runs.append(bits)
@@ -176,6 +176,13 @@ class TestFindShortestInternal:
         outcome = find_shortest(generate_cerny(5), SearchConfig(method="sat-internal"))
         assert outcome.length == 16
 
+    def test_cerny_witness_is_the_bfs_witness(self):
+        # Without the pair-distance clauses one Cerny 6 (length 25) probe takes over 30 s.
+        for n in range(2, 7):
+            a = generate_cerny(n)
+            outcome = find_shortest(a, SearchConfig(method="sat-internal", time_budget=10))
+            assert outcome.witness == shortest_sync_bfs(a).witness
+
     def test_methods_agree_and_brackets_verify(self):
         for a in synchronizable_sweep(15, max_n=6, max_k=2):
             expected = shortest_sync_bfs(a).length
@@ -232,11 +239,12 @@ class TestFindShortestInternal:
         assert time.monotonic() - start < 1.0
 
     def test_time_budget_per_probe_image_encoding(self):
-        # Under the image encoding the DPLL's c = 20 probe on Cerny 6 alone
-        # takes about 18 s.
+        # With its pair-distance clauses the image encoding takes Cerny 6 in
+        # well under a second, but the DPLL's c = 43 probe on Cerny 8 alone
+        # takes about 5 s.
         start = time.monotonic()
         with pytest.raises(ResourceLimitError, match="time budget"):
-            find_shortest(generate_cerny(6), SearchConfig(method="sat-internal", time_budget=0.2))
+            find_shortest(generate_cerny(8), SearchConfig(method="sat-internal", time_budget=0.2))
         assert time.monotonic() - start < 1.0
 
 

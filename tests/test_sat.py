@@ -17,6 +17,7 @@ from syncword.satenc import (
     solve_internal,
     write_dimacs,
 )
+from helpers.pair_distances import pair_distances
 from test_exact import synchronizable_sweep
 
 
@@ -42,8 +43,12 @@ def expected_clause_count(n, k, c):
     )
 
 
-def expected_image_clause_count(n, k, c):
-    return c * (math.comb(k, 2) + 1) + n + n * c * k + math.comb(n, 2)
+def expected_image_clause_count(a, c):
+    # One pair-distance clause a step for the last min(d(p,q), c+1) steps.
+    d = pair_distances(a)
+    pairs = sum(min(d.get((p, q), c + 1), c + 1)
+                for p in range(1, a.n + 1) for q in range(p + 1, a.n + 1))
+    return c * (math.comb(a.k, 2) + 1) + a.n + a.n * c * a.k + pairs
 
 
 class TestVarMap:
@@ -81,7 +86,7 @@ class TestEncodeSat:
 
     def test_image_var_and_clause_counts(self, a1):
         cerny5 = generate_cerny(5)
-        for a, c, size in [(a1, 4, (23, 38)), (cerny5, 15, (110, 195)), (cerny5, 16, (117, 207))]:
+        for a, c, size in [(a1, 4, (23, 41)), (cerny5, 15, (110, 240)), (cerny5, 16, (117, 252))]:
             cnf = encode_sat(a, c)
             assert (cnf.var_count, len(cnf.clauses)) == size
 
@@ -90,7 +95,24 @@ class TestEncodeSat:
             for c in (1, 3):
                 cnf = encode_sat(a, c, "paper")
                 assert len(cnf.clauses) == expected_clause_count(a.n, a.k, c)
-                assert len(encode_sat(a, c).clauses) == expected_image_clause_count(a.n, a.k, c)
+                assert len(encode_sat(a, c).clauses) == expected_image_clause_count(a, c)
+
+    def test_pair_clauses_match_an_independent_pair_bfs(self):
+        # The two-literal T clauses are exactly -T(l,p) | -T(l,q) for the pairs
+        # that the c+1-l symbols left cannot merge; a pair that never merges
+        # has no distance and is excluded at every step.
+        rng = random.Random(16)
+        for _ in range(120):
+            a = generate_random(rng.randint(2, 8), rng.randint(1, 3), rng.randrange(10**6))
+            d = pair_distances(a)
+            for c in range(1, 7):
+                vm = VarMap(a.n, a.k, c)
+                want = sorted([-vm.t(l, p), -vm.t(l, q)]
+                              for p in range(1, a.n + 1) for q in range(p + 1, a.n + 1)
+                              for l in range(1, c + 2) if d.get((p, q), c + 2) > c + 1 - l)
+                got = sorted(sorted(cl, reverse=True) for cl in encode_sat(a, c).clauses
+                             if len(cl) == 2 and min(map(abs, cl)) > c * a.k)
+                assert got == want, (a.delta, c)
 
     def test_image_and_paper_give_the_same_word(self):
         # The X variables come first and the DPLL branches true-first on the
