@@ -66,6 +66,14 @@ def _print_word(word: Word | None) -> int:
     return EXIT_OK
 
 
+def _decimal(text: str) -> int:
+    # argparse would name the type function in its message; name the rule instead.
+    try:
+        return int_token(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncword",
@@ -79,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     fa = shared("fa", help="automaton file")
-    bound = shared("-c", type=int_token, required=True, dest="bound")
+    bound = shared("-c", type=_decimal, required=True, dest="bound")
     out = shared("-o", dest="out", default="-")
     encoding = shared("--encoding", choices=satenc.ENCODINGS, default="image",
                       help="SAT encoding: image sets (default) or the paper's six groups")
@@ -117,13 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
     q = gen_sub.add_parser("random")
-    q.add_argument("-n", type=int_token, required=True)
-    q.add_argument("-k", type=int_token, required=True)
-    q.add_argument("--seed", type=int_token, required=True)
+    q.add_argument("-n", type=_decimal, required=True)
+    q.add_argument("-k", type=_decimal, required=True)
+    q.add_argument("--seed", type=_decimal, required=True)
     q.add_argument("--require-sync", action="store_true",
                    help="redraw with successive seeds until synchronizable")
     q = gen_sub.add_parser("cerny")
-    q.add_argument("-n", type=int_token, required=True)
+    q.add_argument("-n", type=_decimal, required=True)
 
     p = sub.add_parser("import", help="import a KISS2 machine as native format")
     p.set_defaults(run=_cmd_import)
@@ -135,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True, help="n:k:count[,n:k:count...]")
     p.add_argument("--methods", required=True, help="comma-separated method list")
-    p.add_argument("--seed", type=int_token, required=True)
+    p.add_argument("--seed", type=_decimal, required=True)
     p.add_argument("--csv", default="-", help="output path (default stdout)")
     p.add_argument("--table", action="store_true", help="also print an aligned table to stderr")
 

@@ -19,6 +19,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from array import array
 from dataclasses import InitVar, dataclass, field
 
 from syncword import aspenc, satenc
@@ -67,7 +68,9 @@ class SearchConfig:
 @dataclass(slots=True)
 class ProbeRecord:
     """One probe at bound c.  `wall_time` covers the whole probe, encode
-    through decode, for every method; BFS records the length it found as c."""
+    through decode, for every method: for sat-internal, whose probe is a set of
+    assumptions on the search's growing formula, growth, search and decode.
+    BFS records the length it found as c."""
 
     c: int
     verdict: str  # "sat" | "unsat"
@@ -79,15 +82,24 @@ class ProbeRecord:
 class SearchOutcome:
     length: int
     word: InitVar[Word]  # read back as `witness`
-    calls: tuple[ProbeRecord, ...] = ()
+    probes: InitVar[tuple[ProbeRecord, ...]] = ()  # read back as `calls`
     total_time: float = 0.0
     peak_memory_kb: int | None = None
-    # The witness, one character a symbol: 1 to 4 bytes a symbol against a
-    # tuple's 8, and a benchmark run or a sweep may keep thousands of outcomes.
+    # A benchmark run or a sweep may keep thousands of outcomes, so the witness
+    # is kept one character a symbol (1 to 4 bytes against a tuple's 8) and each
+    # probe as four doubles (32 bytes against a record's and its float's 96).
     _chars: str = field(init=False, repr=False)
+    _probes: array = field(init=False, repr=False)
 
-    def __post_init__(self, word: Word) -> None:
+    def __post_init__(self, word: Word, probes: tuple[ProbeRecord, ...]) -> None:
         self.witness = word
+        self._probes = array("d", [v for r in probes for v in (
+            r.c, r.verdict == "sat", r.wall_time, -1 if r.memory_kb is None else r.memory_kb)])
+
+    @property
+    def calls(self) -> tuple[ProbeRecord, ...]:
+        return tuple(ProbeRecord(int(c), "sat" if sat else "unsat", t, None if m < 0 else int(m))
+                     for c, sat, t, m in zip(*[iter(self._probes)] * 4))
 
     @property
     def witness(self) -> Word:
@@ -236,6 +248,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
     c = min(max(low, d) if direct or low < d - 3 else low, cap)
     calls: list[ProbeRecord] = []
+    # sat-internal grows one formula for the whole search; it is freed on return.
+    formula = satenc.Unrolling(a, cfg.encoding) if cfg.method == "sat-internal" else None
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the
     # greatest unsatisfiable bound) and shortest (the least satisfiable one); the
@@ -243,7 +257,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     lo, shortest = 0, None
     while shortest is None or shortest - lo > 1:
         try:
-            found, optimum, rec = _probe(a, c, cfg)
+            found, optimum, rec = _probe(a, c, cfg, formula)
         except (ParseError, DecodeError) as exc:  # only solver output is parsed here
             raise SolverError(f"unreadable solver output at c={c}: {exc}") from exc
         calls.append(rec)
@@ -277,9 +291,10 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     return SearchOutcome(shortest, word, tuple(calls), time.monotonic() - start, peak)
 
 
-def _probe(a: Automaton, c: int, cfg: SearchConfig) -> tuple[Word | None, int | None, ProbeRecord]:
+def _probe(a: Automaton, c: int, cfg: SearchConfig,
+           formula: satenc.Unrolling | None) -> tuple[Word | None, int | None, ProbeRecord]:
     """One probe at bound c: (witness or None, the optimum when the method
-    knows it, probe record)."""
+    knows it, probe record).  sat-internal probes the search's `formula`."""
     t0 = time.monotonic()
     method = cfg.method
     word = shortest = memory_kb = None
@@ -292,10 +307,7 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig) -> tuple[Word | None, int | 
             raise SoundnessError("pair-automaton check and power-set BFS disagree")
     elif method.startswith("sat"):
         if method == "sat-internal":
-            # Refuse before building a formula the internal solver would reject.
-            satenc.check_var_cap(satenc.VarMap(a.n, a.k, c, cfg.encoding).var_count)
-            cnf = satenc.encode_sat(a, c, cfg.encoding)
-            model = satenc.solve_internal(cnf, time_budget=cfg.time_budget)
+            model = satenc.solve_internal(formula.at(c), time_budget=cfg.time_budget)
         else:
             dimacs = satenc.write_dimacs(satenc.encode_sat(a, c, cfg.encoding))
             result = run_external(dimacs, cfg.solver_cmd, cfg.time_budget, suffix=".cnf")

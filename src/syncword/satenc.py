@@ -1,5 +1,5 @@
 """SAT encoding of "a synchronizing word of length c exists", DIMACS output,
-model decoding, and a small internal DPLL oracle for desk-scale checks.
+model decoding, and a small internal DPLL for desk-scale length searches.
 
 Two encodings share the symbol variables X(l,x), numbered first, so one
 decoder reads both.  The default "image" encoding tracks the image set: T(l,s)
@@ -14,6 +14,15 @@ state, step), initial-state units, transition propagation, exactly one sink,
 and all-states-reach-sink.  Both are satisfiable by exactly the X assignments
 that spell a synchronizing word.  The decision predicate is monotone in c
 (images only shrink), which the binary search driver relies on.
+
+`encode_sat` writes one bound's formula for external solvers.  The internal
+solver grows one formula per length search, an `Unrolling`, indexed by the
+symbols left, r, so no clause names c: exactly one X(r,.); for the image
+U(r,s) & X(r,x) -> U(r-1,delta(s,x)) and -U(r,p) | -U(r,q) when d(p,q) > r;
+for the paper its transitions, at-most-one S(i,r,.) groups and sink group at
+r = 0 (at-least-one S could fail above c).  A probe at c grows it to c layers
+and assumes U(c,s) for every s (paper: S(i,c,i)); all-false U or S satisfies
+the layers above, so the probe has the models and first word of encode_sat.
 """
 
 from __future__ import annotations
@@ -85,7 +94,7 @@ class CnfInstance:
                 raise ValueError(f"literal {lit} out of range for {self.var_count} vars")
 
 
-def _exactly_one(variables: list[int], out: list[Clause]) -> None:
+def _exactly_one(variables: list[int] | range, out: list[Clause]) -> None:
     # Pairwise mutual exclusion plus one at-least-one clause.
     for a in range(len(variables)):
         for b in range(a + 1, len(variables)):
@@ -222,90 +231,182 @@ def check_var_cap(var_count: int) -> None:
         )
 
 
-def solve_internal(cnf: CnfInstance, time_budget: float | None = None) -> dict[int, bool] | None:
+class Dpll:
+    """Watched clauses and the DPLL that searches them.  Variables and clauses
+    may be added between searches; each search starts from the unit clauses."""
+
+    def __init__(self, var_count: int = 0, clauses=()):
+        # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;
+        # watches[lit] holds the clauses watching lit, visited when lit turns false.
+        self.var_count, self.value, self.watches, self.units, self.trail = 0, [0], [[]], [], []
+        self.add_vars(var_count)
+        self.add(clauses)
+
+    def add_vars(self, count: int) -> int:
+        # The new slots go between the positive and negative literals, so every
+        # old literal keeps its index; returns the first new variable.
+        n, self.var_count = self.var_count, self.var_count + count
+        self.value[n + 1:n + 1] = [0] * (2 * count)
+        self.watches[n + 1:n + 1] = [[] for _ in range(2 * count)]
+        return n + 1
+
+    def add(self, clauses: list[Clause]) -> None:
+        # The solver moves the watches inside these lists; no literal may repeat.
+        for cl in clauses:
+            if len(cl) > 1:
+                self.watches[cl[0]].append(cl)
+                self.watches[cl[1]].append(cl)
+            else:
+                self.units.append(cl[0])
+
+    def search(self, assumptions, order, time_budget: float | None) -> bool:
+        """Whether a model extends `assumptions`, deciding the variables of
+        `order` in turn, true first; the first model in that order stays in
+        `value` until the next search."""
+        deadline = None if time_budget is None else time.monotonic() + time_budget
+        value, watches, trail = self.value, self.watches, self.trail
+        for lit in trail:
+            value[lit] = value[-lit] = 0
+        trail.clear()
+        head = 0  # trail[head:] is unpropagated
+
+        def enqueue(lit: int) -> bool:
+            # Assign lit true; False when it is already false.
+            if value[lit]:
+                return value[lit] == 1
+            value[lit], value[-lit] = 1, -1
+            trail.append(lit)
+            return True
+
+        def propagate() -> bool:
+            # Propagate the trail from `head`; returns False on conflict.
+            nonlocal head
+            while head < len(trail):
+                false_lit = -trail[head]
+                head += 1
+                wl = watches[false_lit]
+                i = 0
+                while i < len(wl):
+                    cl = wl[i]
+                    if cl[0] == false_lit:
+                        cl[0], cl[1] = cl[1], false_lit
+                    if value[cl[0]] == 1:
+                        i += 1
+                        continue
+                    for j in range(2, len(cl)):
+                        if value[cl[j]] != -1:  # move the watch from cl[1] to cl[j]
+                            cl[1], cl[j] = cl[j], false_lit
+                            watches[cl[1]].append(cl)
+                            wl[i] = wl[-1]
+                            wl.pop()
+                            break
+                    else:
+                        if not enqueue(cl[0]):
+                            return False
+                        i += 1
+            return True
+
+        if not all(map(enqueue, (*self.units, *assumptions))):
+            return False
+        # Chronological DPLL.  A conflict pops the latest decision still on its
+        # true branch and propagates its negation; the scan then resumes at that
+        # place in `order`, since every earlier one was assigned before its mark.
+        decisions: list[tuple[int, int]] = []  # (place in order, trail mark)
+        pos, end = 0, len(order)
+        while True:
+            while not propagate():
+                if not decisions:
+                    return False
+                pos, mark = decisions.pop()
+                for lit in trail[mark:]:
+                    value[lit] = value[-lit] = 0
+                del trail[mark:]
+                head = mark
+                enqueue(-order[pos])
+            while pos < end and value[order[pos]]:
+                pos += 1
+            if pos == end:
+                return True
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceLimitError(f"time budget {time_budget}s exceeded during DPLL search")
+            decisions.append((pos, len(trail)))
+            enqueue(order[pos])
+
+
+class Unrolling(Dpll):
+    """One length search's growing formula (module docstring).  X(r,x) =
+    top[r]-k+x, U(r,s) = top[r]+s, S(i,r,s) = top[r]+(i-1)*n+s, Y(i) = i."""
+
+    def __init__(self, a: Automaton, encoding: str = "image"):
+        super().__init__()
+        self.a, self.encoding, self.c, self.top = a, encoding, 0, []
+        self.width = a.n * a.n if encoding == "paper" else a.n  # U or S variables a layer
+
+    def at(self, c: int) -> Unrolling:
+        """Make c the bound of the next solve, growing the formula to c layers
+        once the grown size passes the solver cap (and VarMap's checks)."""
+        check_var_cap(VarMap(self.a.n, self.a.k, max(c, len(self.top) - 1),
+                             self.encoding).var_count)
+        while len(self.top) <= c:
+            self.add_layer()
+        self.c = c
+        return self
+
+    def add_layer(self) -> None:
+        n, k, r, paper = self.a.n, self.a.k, len(self.top), self.encoding == "paper"
+        head = k if r else n if paper else 0  # X, or the paper's Y at r = 0
+        top = self.add_vars(head + self.width) - 1 + head
+        starts = range(0, self.width, n)  # each start state's offset in S
+        clauses: list[Clause] = []
+        if r:
+            xs, below = range(top - k + 1, top + 1), self.top[-1]
+            _exactly_one(xs, clauses)
+            for i in starts:
+                for s, row in enumerate(self.a.delta, start=1):
+                    for x, t in zip(xs, row):
+                        clauses.append([-top - i - s, -x, below + i + t])
+        elif paper:  # exactly one sink, which every start state reaches
+            _exactly_one(range(1, n + 1), clauses)
+            clauses += [[-y, top + i + y] for y in range(1, n + 1) for i in starts]
+        if paper:
+            for i in starts:  # at most one S(i,r,.): drop the at-least-one clause
+                _exactly_one(range(top + i + 1, top + i + n + 1), clauses)
+                clauses.pop()
+        else:
+            merges = pair_merges(self.a)
+            clauses += [[-top - p, -top - q] for p in range(1, n + 1) for q in range(p + 1, n + 1)
+                        if merges.get(1 << p - 1 | 1 << q - 1, (r + 1,))[0] > r]
+        self.top.append(top)
+        self.add(clauses)
+
+
+def solve_internal(cnf: CnfInstance | Unrolling,
+                   time_budget: float | None = None) -> dict[int, bool] | None:
     """Complete DPLL with unit propagation; a desk-scale verification oracle.
 
-    Branches on the lowest unassigned variable, true first, and returns the
-    first total satisfying assignment in that order, or None if there is none.
-    More than DEFAULT_VAR_CAP variables or `time_budget` seconds of search raise
-    ResourceLimitError: large instances belong to an external solver.
+    A CnfInstance is searched branching on the lowest unassigned variable, true
+    first, for its first total satisfying assignment in that order.  An
+    Unrolling is searched at its bound c under its assumptions, branching on
+    X(c,.), ..., X(1,.) first, and yields that first model's symbol variables,
+    numbered as in `encode_sat(a, c)`.  Either way a bound's first model spells
+    its least word.  None means unsatisfiable.  More than DEFAULT_VAR_CAP
+    variables or `time_budget` seconds of search raise ResourceLimitError:
+    large instances belong to an external solver.
     """
     check_var_cap(cnf.var_count)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    nvars = cnf.var_count
-    # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;
-    # watches[lit] holds the clauses watching lit, visited when lit turns false.
-    value = [0] * (2 * nvars + 1)
-    watches: list[list[Clause]] = [[] for _ in range(2 * nvars + 1)]
-    trail: list[int] = []  # assigned literals; those from `head` on are unpropagated
-    head = 0
-
-    def enqueue(lit: int) -> bool:
-        # Assign lit true; False when it is already false.
-        if value[lit]:
-            return value[lit] == 1
-        value[lit], value[-lit] = 1, -1
-        trail.append(lit)
-        return True
-
-    def propagate() -> bool:
-        # Propagate the trail from `head`; returns False on conflict.
-        nonlocal head
-        while head < len(trail):
-            false_lit = -trail[head]
-            head += 1
-            wl = watches[false_lit]
-            i = 0
-            while i < len(wl):
-                cl = wl[i]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], false_lit
-                if value[cl[0]] == 1:
-                    i += 1
-                    continue
-                for j in range(2, len(cl)):
-                    if value[cl[j]] != -1:  # move the watch from cl[1] to cl[j]
-                        cl[1], cl[j] = cl[j], false_lit
-                        watches[cl[1]].append(cl)
-                        wl[i] = wl[-1]
-                        wl.pop()
-                        break
-                else:
-                    if not enqueue(cl[0]):
-                        return False
-                    i += 1
-        return True
-
-    # The solver watches its own deduplicated copy of each clause, so watch
-    # moves never touch cnf.clauses; unit clauses are assigned up front.
-    for cl in cnf.clauses:
-        cl = list(dict.fromkeys(cl))
-        if len(cl) > 1:
-            watches[cl[0]].append(cl)
-            watches[cl[1]].append(cl)
-        elif not enqueue(cl[0]):
+    if isinstance(cnf, CnfInstance):
+        # The solver watches its own deduplicated copy of each clause, so watch
+        # moves never touch cnf.clauses.
+        dpll = Dpll(cnf.var_count, [list(dict.fromkeys(cl)) for cl in cnf.clauses])
+        every = range(1, cnf.var_count + 1)
+        if not dpll.search((), every, time_budget):
             return None
-
-    # Chronological DPLL.  A conflict pops the latest decision still on its true
-    # branch and propagates its negation; the scan then resumes at that variable,
-    # since every lower one was assigned before the decision's mark.
-    decisions: list[tuple[int, int]] = []  # (var, trail mark)
-    var = 1
-    while True:
-        while not propagate():
-            if not decisions:
-                return None
-            var, mark = decisions.pop()
-            for lit in trail[mark:]:
-                value[lit] = value[-lit] = 0
-            del trail[mark:]
-            head = mark
-            enqueue(-var)
-        while var <= nvars and value[var]:
-            var += 1
-        if var > nvars:
-            return {v: value[v] == 1 for v in range(1, nvars + 1)}
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimitError(f"time budget {time_budget}s exceeded during DPLL search")
-        decisions.append((var, len(trail)))
-        enqueue(var)
+        return {v: dpll.value[v] == 1 for v in every}
+    c, k, top = cnf.c, cnf.a.k, cnf.top
+    order = [v for r in range(c, 0, -1) for v in range(top[r] - k + 1, top[r] + 1)]
+    order += range(1, cnf.var_count + 1)
+    step = cnf.a.n + 1 if cnf.encoding == "paper" else 1  # S(i,c,i), or every U(c,s)
+    if not cnf.search(range(top[c] + 1, top[c] + cnf.width + 1, step), order, time_budget):
+        return None
+    return {(c - r) * k + x: cnf.value[top[r] - k + x] == 1
+            for r in range(1, c + 1) for x in range(1, k + 1)}

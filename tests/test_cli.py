@@ -450,6 +450,12 @@ class TestUsage:
         assert cli_main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    def test_integer_argument_error_names_a_decimal_integer(self, capsys):
+        assert cli_main(["gen", "random", "-n", "1_0", "-k", "2", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "argument -n: not a decimal integer: '1_0'" in err
+        assert "int_token" not in err
+
     def test_bound_takes_ascii_digits_only(self, a1_file, capsys):
         assert cli_main(["encode", "sat", a1_file, "-c", "0_4"]) == 2
         assert capsys.readouterr().out == ""

@@ -3,11 +3,13 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 
 import pytest
 
 from syncword.automaton import generate_cerny, generate_random, is_synchronizing_word
 from syncword.driver import (
+    ProbeRecord,
     SearchConfig,
     SearchOutcome,
     find_shortest,
@@ -17,7 +19,7 @@ from syncword.driver import (
 )
 from syncword.errors import ResourceLimitError, SolverError, SoundnessError
 from syncword.satenc import ENCODINGS, decode_model, encode_sat, solve_internal
-from syncword import exact
+from syncword import exact, satenc
 from syncword.exact import check_synchronizable, shortest_sync_bfs
 from test_exact import synchronizable_sweep
 
@@ -69,6 +71,13 @@ class TestFindShortestInternal:
         outcome.witness = word + (3,)
         assert outcome.witness == word + (3,)
 
+    def test_outcome_calls_round_trip(self):
+        # The probes are stored as four doubles each and read back as records.
+        probes = (ProbeRecord(3, "unsat", 0.25, None), ProbeRecord(40, "sat", 1e-7, 123_456),
+                  ProbeRecord(41, "sat", 2.5, 0))
+        assert SearchOutcome(41, (1,) * 41, probes).calls == probes
+        assert SearchOutcome(0, ()).calls == ()
+
     def test_a1_sat_internal_probe_trace(self, a1):
         # The first probe is at the pair-merge bound: the pair {1,2} needs aab.
         # It is UNSAT, the next is max(3 + 1, ceil(2*sqrt(3)) = 4), SAT.
@@ -105,6 +114,19 @@ class TestFindShortestInternal:
                             or pair_bfs(bits))
         assert find_shortest(generate_cerny(4), SearchConfig(method="sat-internal")).length == 9
         assert len(runs) == 1
+
+    def test_search_formula_is_freed_on_return(self, monkeypatch):
+        # A benchmark run keeps every outcome; none may keep its search's formula.
+        refs = []
+
+        class Recorded(satenc.Unrolling):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(satenc, "Unrolling", Recorded)
+        outcome = find_shortest(generate_cerny(4), SearchConfig(method="sat-internal"))
+        assert outcome.length == 9 and len(refs) == 1 and refs[0]() is None
 
     def test_unsat_up_to_the_cubic_bound_is_a_soundness_error(self, a1, monkeypatch):
         # cubic_length_bound(3) = 4, so the second probe, at c = 4, is the last.
@@ -206,13 +228,14 @@ class TestFindShortestInternal:
             model = solve_internal(encode_sat(a, m, encoding))
             assert outcome.witness == decode_model(a, m, model)
 
+    @staticmethod
+    def no_growth(self):
+        raise AssertionError("the formula grew before the var cap was checked")
+
     def test_var_cap_checked_before_encoding(self, monkeypatch):
         # Cerny 160 starts at its pair-merge bound c = 12,720, far past the
         # solver cap in paper variables.
-        def no_encoding(a, c, encoding):
-            raise AssertionError("the formula was built before the var cap was checked")
-
-        monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
+        monkeypatch.setattr("syncword.satenc.Unrolling.add_layer", self.no_growth)
         with pytest.raises(ResourceLimitError, match="solver cap"):
             find_shortest(generate_cerny(160),
                           SearchConfig(method="sat-internal", encoding="paper"))
@@ -220,10 +243,7 @@ class TestFindShortestInternal:
     def test_var_cap_checked_before_image_encoding(self, monkeypatch):
         # Cerny 100 starts at its pair-merge bound c = 4,950, which needs
         # 9,900 + 100 * 4,951 = 505,000 image variables.
-        def no_encoding(a, c, encoding):
-            raise AssertionError("the formula was built before the var cap was checked")
-
-        monkeypatch.setattr("syncword.satenc.encode_sat", no_encoding)
+        monkeypatch.setattr("syncword.satenc.Unrolling.add_layer", self.no_growth)
         with pytest.raises(ResourceLimitError, match="505000 variables"):
             find_shortest(generate_cerny(100), SearchConfig(method="sat-internal"))
 

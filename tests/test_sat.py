@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from syncword.exact import shortest_sync_bfs
 from syncword.satenc import (
     DEFAULT_VAR_CAP,
     CnfInstance,
+    Unrolling,
     VarMap,
     decode_model,
     encode_sat,
@@ -210,6 +212,49 @@ class TestDimacs:
     def test_comments_record_instance(self, a1):
         text = write_dimacs(encode_sat(a1, 4))
         assert "n=3 k=2 c=4" in text
+
+    @pytest.mark.parametrize("name, c, encoding, digest", [
+        ("a1", 4, "image", "b9322fa106ca37ca9f73cf291db86631f902c82682ab4ade701d200f024503e0"),
+        ("a1", 4, "paper", "ee7b2bae58a4fd4771b6d7ec8fa549c787e621c3e77c5f1e5071f0fde719e1a1"),
+        ("cerny5", 16, "image", "52a84ef4b1e1b455eeda8d67b7e1817f5ea7c7875a6d20b7e502aafcc58e1f34"),
+        ("cerny5", 16, "paper", "5c6e7f58704bb29df48f24166332364eb41fb1e80c04d569a1d77860256633c2"),
+    ])
+    def test_bytes_are_pinned(self, a1, name, c, encoding, digest):
+        # sat-external and the benchmark's stub solver read these exact files.
+        a = a1 if name == "a1" else generate_cerny(5)
+        text = write_dimacs(encode_sat(a, c, encoding))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestUnrolling:
+    @pytest.mark.parametrize("encoding", ["image", "paper"])
+    def test_answers_bounds_up_and_down_like_a_fresh_formula(self, encoding):
+        # One formula per automaton takes bounds in a random order, so a probe
+        # may sit below layers built for a larger bound; k = 1 makes each
+        # exactly-one X group a unit clause.
+        rng = random.Random(17)
+        seen = {"sat": 0, "unsat": 0, "sat below the top": 0, "k = 1": 0}
+        for _ in range(60):
+            a = generate_random(rng.randint(2, 8), rng.randint(1, 3), rng.randrange(10**6))
+            formula = Unrolling(a, encoding)
+            for c in [rng.randint(1, 9) for _ in range(6)]:
+                model = solve_internal(formula.at(c))
+                fresh = solve_internal(encode_sat(a, c, encoding))
+                assert (model is None) == (fresh is None), (a.delta, c)
+                if model is not None:
+                    assert decode_model(a, c, model) == decode_model(a, c, fresh), (a.delta, c)
+                    seen["sat below the top"] += c < len(formula.top) - 1
+                seen["unsat" if model is None else "sat"] += 1
+                seen["k = 1"] += a.k == 1
+        assert min(seen.values()) > 20, seen
+
+    def test_grown_size_is_the_encoding_size(self, a1):
+        for encoding in ("image", "paper"):
+            formula = Unrolling(a1, encoding)
+            for c in (3, 1, 6):
+                formula.at(c)
+                depth = len(formula.top) - 1
+                assert formula.var_count == VarMap(3, 2, depth, encoding).var_count
 
 
 class TestDecodeModel:
