@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 from syncword.automaton import Automaton, generate_cerny, generate_random
@@ -19,7 +20,7 @@ from syncword.exact import check_synchronizable
 
 CSV_COLUMNS = [
     "row_type",      # instance | aggregate
-    "instance",      # e.g. n5-k2-i0 (empty on aggregate rows)
+    "instance",      # e.g. n5-k2-i0 or cerny-n4-k2-i0, unique in a run (empty on aggregates)
     "n",
     "k",
     "seed",          # per-instance generator seed (master seed on aggregates)
@@ -84,12 +85,14 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings)
     writer = csv.DictWriter(buf, CSV_COLUMNS, restval="", lineterminator="\n")
     writer.writeheader()
     aggregates: list[dict] = []
-    draw = 0
+    draw, used = 0, Counter()  # ids given per family and (n, k), numbered on across cells
     for cell in cells:
         instances, discarded, draw = generate_instances(cell, seed, draw)
         outcomes: dict[str, list[SearchOutcome]] = {m: [] for m in methods}
-        for idx, (inst_seed, a) in enumerate(instances):
-            inst_id = f"n{cell.n}-k{cell.k}-i{idx}"
+        tag = f"{'cerny-' if cell.family == 'cerny' else ''}n{cell.n}-k{cell.k}"
+        for inst_seed, a in instances:
+            inst_id = f"{tag}-i{used[tag]}"
+            used[tag] += 1
             for method, cfg in zip(methods, configs):
                 outcome = find_shortest(a, cfg)
                 if outcome is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -74,6 +75,13 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}") from None
 
 
+def _seconds(text: str) -> float:
+    # ASCII decimals and the "inf" that sets no limit; float() also takes '1_0', ' 5', 'nan'.
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf", text):
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncword",
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     legacy = shared("--legacy-syntax", action="store_true", help="ASP syntax for older solvers")
     search = shared("--solver-cmd", parents=[encoding, legacy],
                     help="external solver command with a {file} placeholder")
-    search.add_argument("--time-budget", type=float,
+    search.add_argument("--time-budget", type=_seconds,
                         help="seconds per probe, for every method; exceeding it exits 3")
 
     p = sub.add_parser("check", parents=[fa], help="is the automaton synchronizable?")

@@ -20,9 +20,9 @@ solver grows one formula per length search, an `Unrolling`, indexed by the
 symbols left, r, so no clause names c: exactly one X(r,.); for the image
 U(r,s) & X(r,x) -> U(r-1,delta(s,x)) and -U(r,p) | -U(r,q) when d(p,q) > r;
 for the paper its transitions, at-most-one S(i,r,.) groups and sink group at
-r = 0 (at-least-one S could fail above c).  A probe at c grows it to c layers
-and assumes U(c,s) for every s (paper: S(i,c,i)); all-false U or S satisfies
-the layers above, so the probe has the models and first word of encode_sat.
+r = 0 (at-least-one S could fail above c).  A probe at c grows it to c layers,
+assumes U(c,s) for every s (paper: S(i,c,i)) and decides X(c..1,.) only
+(`solve_internal`), so it has the verdict and first word of encode_sat.
 """
 
 from __future__ import annotations
@@ -260,9 +260,10 @@ class Dpll:
                 self.units.append(cl[0])
 
     def search(self, assumptions, order, time_budget: float | None) -> bool:
-        """Whether a model extends `assumptions`, deciding the variables of
-        `order` in turn, true first; the first model in that order stays in
-        `value` until the next search."""
+        """Whether `assumptions` and `order`, decided in turn, true first, leave no
+        conflict: a model when `order` is every variable or, as for an Unrolling's
+        X, every such choice extends to one; the first stays in `value` until the
+        next search."""
         deadline = None if time_budget is None else time.monotonic() + time_budget
         value, watches, trail = self.value, self.watches, self.trail
         for lit in trail:
@@ -387,11 +388,14 @@ def solve_internal(cnf: CnfInstance | Unrolling,
     A CnfInstance is searched branching on the lowest unassigned variable, true
     first, for its first total satisfying assignment in that order.  An
     Unrolling is searched at its bound c under its assumptions, branching on
-    X(c,.), ..., X(1,.) first, and yields that first model's symbol variables,
-    numbered as in `encode_sat(a, c)`.  Either way a bound's first model spells
-    its least word.  None means unsatisfiable.  More than DEFAULT_VAR_CAP
-    variables or `time_budget` seconds of search raise ResourceLimitError:
-    large instances belong to an external solver.
+    X(c,.), ..., X(1,.) only: once they are set with no conflict, propagation
+    has fixed the image at each layer r <= c (paper: each start's trace and,
+    through the at-most-one and sink clauses, the sink Y), and false for every
+    other U or S, with X(r,1) above c, completes a model.  It yields the word's
+    symbol variables, numbered as in `encode_sat(a, c)`.  Either way a bound's
+    first model spells its least word.  None means unsatisfiable.  More than
+    DEFAULT_VAR_CAP variables or `time_budget` seconds of search raise
+    ResourceLimitError: large instances belong to an external solver.
     """
     check_var_cap(cnf.var_count)
     if isinstance(cnf, CnfInstance):
@@ -404,7 +408,6 @@ def solve_internal(cnf: CnfInstance | Unrolling,
         return {v: dpll.value[v] == 1 for v in every}
     c, k, top = cnf.c, cnf.a.k, cnf.top
     order = [v for r in range(c, 0, -1) for v in range(top[r] - k + 1, top[r] + 1)]
-    order += range(1, cnf.var_count + 1)
     step = cnf.a.n + 1 if cnf.encoding == "paper" else 1  # S(i,c,i), or every U(c,s)
     if not cnf.search(range(top[c] + 1, top[c] + cnf.width + 1, step), order, time_budget):
         return None

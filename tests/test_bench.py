@@ -47,6 +47,17 @@ class TestBenchRun:
         lengths = [int(r["length"]) for r in rows_of(text) if r["row_type"] == "instance"]
         assert lengths == [4, 9, 16, 25, 36]
 
+    def test_instance_ids_are_unique_in_a_run(self):
+        # Cerny 4 shares n and k with the random 4:2 cells, and a repeated cell
+        # numbers on from the first; a random cell alone keeps n{n}-k{k}-i{idx}.
+        cells = [BenchCell(4, 2, 2), BenchCell(4, 2, 1), BenchCell(4, 2, 1, family="cerny"),
+                 BenchCell(5, 3, 1)]
+        rows = rows_of(bench_run(cells, ["bfs"], seed=0))
+        inst = [r for r in rows if r["row_type"] == "instance"]
+        assert [r["instance"] for r in inst] == [
+            "n4-k2-i0", "n4-k2-i1", "n4-k2-i2", "cerny-n4-k2-i0", "n5-k3-i0"]
+        assert len({r["seed"] for r in inst[:3]}) == 3
+
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
             bench_run([BenchCell(5, 2, 0)], ["bfs"], seed=0)

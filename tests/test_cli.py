@@ -456,6 +456,19 @@ class TestUsage:
         assert "argument -n: not a decimal integer: '1_0'" in err
         assert "int_token" not in err
 
+    @pytest.mark.parametrize("budget", ["1_0", "\u0661", " 5"])  # \u0661: an Arabic-Indic 1
+    def test_time_budget_takes_ascii_decimals_only(self, a1_file, budget, capsys):
+        assert cli_main(["shortest", a1_file, "--time-budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --time-budget: not a decimal number: {budget!r}" in captured.err
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "1e-9", "0.01", "inf"])
+    def test_time_budget_parses_decimals_and_inf_as_floats(self, budget):
+        # 0 and -1 parse, and then fail SearchConfig's check (exit 2).
+        args = build_parser().parse_args(["shortest", "a.fa", "--time-budget", budget])
+        assert args.time_budget == float(budget)
+
     def test_bound_takes_ascii_digits_only(self, a1_file, capsys):
         assert cli_main(["encode", "sat", a1_file, "-c", "0_4"]) == 2
         assert capsys.readouterr().out == ""

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from syncword.automaton import generate_cerny, generate_random, is_synchronizing_word, parse_fa
+from syncword.automaton import (
+    apply_word,
+    generate_cerny,
+    generate_random,
+    is_synchronizing_word,
+    parse_fa,
+)
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
 from syncword.exact import shortest_sync_bfs
 from syncword.satenc import (
@@ -246,6 +252,48 @@ class TestUnrolling:
                     seen["sat below the top"] += c < len(formula.top) - 1
                 seen["unsat" if model is None else "sat"] += 1
                 seen["k = 1"] += a.k == 1
+        assert min(seen.values()) > 20, seen
+
+    @pytest.mark.parametrize("encoding", ["image", "paper"])
+    def test_a_probe_decides_only_the_word(self, encoding):
+        # After a SAT probe at c, propagation alone has fixed each layer r <= c
+        # to the image of the word's first c-r symbols (paper: each start's
+        # state and the sink Y), and the layers above c hold only what the
+        # units and assumptions force: nothing when k > 1, the unit X(r,1) and
+        # its consequences when k = 1.
+        rng = random.Random(18)
+        seen = {"sat": 0, "k = 1": 0}
+        for _ in range(80):
+            a = generate_random(rng.randint(2, 8), rng.randint(1, 3), rng.randrange(10**6))
+            n, k = a.n, a.k
+            formula = Unrolling(a, encoding)
+            formula.at(10)  # every probe below sits under built layers
+            for c in [rng.randint(1, 9) for _ in range(4)]:
+                model = solve_internal(formula.at(c))
+                if model is None:
+                    continue
+                word, top, value = decode_model(a, c, model), formula.top, formula.value
+                after_probe = value[:]
+                # What the units and assumptions force: a search with nothing to decide.
+                step = n + 1 if encoding == "paper" else 1
+                assert formula.search(range(top[c] + 1, top[c] + formula.width + 1, step), (), None)
+                above = range(top[c] + formula.width + 1, formula.var_count + 1)
+                assert [after_probe[v] for v in above] == [value[v] for v in above], (a.delta, c)
+                if k > 1:
+                    assert not any(after_probe[v] for v in above), (a.delta, c)
+                for r in range(c + 1):
+                    reached = [apply_word(a, q, word[:c - r]) for q in range(1, n + 1)]
+                    # The image's U(r,.), or S(i,r,.) for each start i.
+                    groups = [set(reached)] if encoding == "image" else [{q} for q in reached]
+                    for i, expected in enumerate(groups):
+                        true = {s for s in range(1, n + 1) if after_probe[top[r] + i * n + s] == 1}
+                        assert true == expected, (a.delta, c, r, i)
+                if encoding == "paper":  # Y(y) = y, true for the sink only
+                    sink = apply_word(a, 1, word)
+                    assert [after_probe[y] for y in range(1, n + 1)] == [
+                        1 if y == sink else -1 for y in range(1, n + 1)], (a.delta, c)
+                seen["sat"] += 1
+                seen["k = 1"] += k == 1
         assert min(seen.values()) > 20, seen
 
     def test_grown_size_is_the_encoding_size(self, a1):
