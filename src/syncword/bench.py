@@ -20,7 +20,7 @@ from syncword.exact import check_synchronizable
 
 CSV_COLUMNS = [
     "row_type",      # instance | aggregate
-    "instance",      # e.g. n5-k2-i0 or cerny-n4-k2-i0, unique in a run (empty on aggregates)
+    "instance",      # e.g. n5-k2-i0 or cerny-n4-k2-i0, unique in a run; aggregates: n5-k2-i0..i3
     "n",
     "k",
     "seed",          # per-instance generator seed (master seed on aggregates)
@@ -90,6 +90,7 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings)
         instances, discarded, draw = generate_instances(cell, seed, draw)
         outcomes: dict[str, list[SearchOutcome]] = {m: [] for m in methods}
         tag = f"{'cerny-' if cell.family == 'cerny' else ''}n{cell.n}-k{cell.k}"
+        ids = f"{tag}-i{used[tag]}" + (f"..i{used[tag] + cell.count - 1}" if cell.count > 1 else "")
         for inst_seed, a in instances:
             inst_id = f"{tag}-i{used[tag]}"
             used[tag] += 1
@@ -109,7 +110,7 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings)
                 )
         for method, outs in outcomes.items():
             aggregates.append({
-                "row_type": "aggregate", "n": cell.n, "k": cell.k, "seed": seed,
+                "row_type": "aggregate", "instance": ids, "n": cell.n, "k": cell.k, "seed": seed,
                 "method": method, "discarded": discarded,
                 "length": f"{sum(o.length for o in outs) / len(outs):.2f}",
                 "total_time_ms": f"{sum(o.total_time * 1000 for o in outs) / len(outs):.3f}",
@@ -144,7 +145,7 @@ def strip_timing(csv_text: str) -> str:
     return out.getvalue()
 
 
-TABLE_COLUMNS = ["n", "k", "method", "length", "total_time_ms", "discarded"]
+TABLE_COLUMNS = ["instance", "n", "k", "method", "length", "total_time_ms", "discarded"]
 
 
 def render_table(csv_text: str) -> str:

@@ -68,9 +68,9 @@ class SearchConfig:
 @dataclass(slots=True)
 class ProbeRecord:
     """One probe at bound c.  `wall_time` covers the whole probe, encode
-    through decode, for every method: for sat-internal, whose probe is a set of
-    assumptions on the search's growing formula, growth, search and decode.
-    BFS records the length it found as c."""
+    through decode, for every method: for an image sat-internal search, whose
+    probe is a set of assumptions on the search's growing formula, growth,
+    search and decode.  BFS records the length it found as c."""
 
     c: int
     verdict: str  # "sat" | "unsat"
@@ -248,8 +248,9 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
     c = min(max(low, d) if direct or low < d - 3 else low, cap)
     calls: list[ProbeRecord] = []
-    # sat-internal grows one formula for the whole search; it is freed on return.
-    formula = satenc.Unrolling(a, cfg.encoding) if cfg.method == "sat-internal" else None
+    # An image sat-internal search grows one formula; it is freed on return.
+    grows = cfg.method == "sat-internal" and cfg.encoding == "image"
+    formula = satenc.Unrolling(a) if grows else None
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the
     # greatest unsatisfiable bound) and shortest (the least satisfiable one); the
@@ -294,7 +295,7 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
 def _probe(a: Automaton, c: int, cfg: SearchConfig,
            formula: satenc.Unrolling | None) -> tuple[Word | None, int | None, ProbeRecord]:
     """One probe at bound c: (witness or None, the optimum when the method
-    knows it, probe record).  sat-internal probes the search's `formula`."""
+    knows it, probe record).  An image sat-internal search probes its `formula`."""
     t0 = time.monotonic()
     method = cfg.method
     word = shortest = memory_kb = None
@@ -306,8 +307,11 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig,
         elif check_synchronizable(a):  # only a non-synchronizable input pays for this
             raise SoundnessError("pair-automaton check and power-set BFS disagree")
     elif method.startswith("sat"):
-        if method == "sat-internal":
+        if formula is not None:
             model = satenc.solve_internal(formula.at(c), time_budget=cfg.time_budget)
+        elif method == "sat-internal":  # the cap first: it may forbid building the formula
+            satenc.check_var_cap(satenc.VarMap(a.n, a.k, c, cfg.encoding).var_count)
+            model = satenc.solve_internal(satenc.encode_sat(a, c, cfg.encoding), cfg.time_budget)
         else:
             dimacs = satenc.write_dimacs(satenc.encode_sat(a, c, cfg.encoding))
             result = run_external(dimacs, cfg.solver_cmd, cfg.time_budget, suffix=".cnf")

@@ -15,13 +15,12 @@ and all-states-reach-sink.  Both are satisfiable by exactly the X assignments
 that spell a synchronizing word.  The decision predicate is monotone in c
 (images only shrink), which the binary search driver relies on.
 
-`encode_sat` writes one bound's formula for external solvers.  The internal
-solver grows one formula per length search, an `Unrolling`, indexed by the
-symbols left, r, so no clause names c: exactly one X(r,.); for the image
-U(r,s) & X(r,x) -> U(r-1,delta(s,x)) and -U(r,p) | -U(r,q) when d(p,q) > r;
-for the paper its transitions, at-most-one S(i,r,.) groups and sink group at
-r = 0 (at-least-one S could fail above c).  A probe at c grows it to c layers,
-assumes U(c,s) for every s (paper: S(i,c,i)) and decides X(c..1,.) only
+`encode_sat` writes one bound's formula, which external solvers and the
+internal solver's paper search take one bound at a time.  An internal image
+search instead grows one formula, an `Unrolling`, indexed by the symbols left,
+r, so no clause names c: exactly one X(r,.), U(r,s) & X(r,x) ->
+U(r-1,delta(s,x)) and -U(r,p) | -U(r,q) when d(p,q) > r.  A probe at c grows
+it to c layers, assumes U(c,s) for every s and decides X(c..1,.) only
 (`solve_internal`), so it has the verdict and first word of encode_sat.
 """
 
@@ -233,12 +232,12 @@ def check_var_cap(var_count: int) -> None:
 
 class Dpll:
     """Watched clauses and the DPLL that searches them.  Variables and clauses
-    may be added between searches; each search starts from the unit clauses."""
+    may be added between searches; each search starts from its assumptions."""
 
     def __init__(self, var_count: int = 0, clauses=()):
         # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;
         # watches[lit] holds the clauses watching lit, visited when lit turns false.
-        self.var_count, self.value, self.watches, self.units, self.trail = 0, [0], [[]], [], []
+        self.var_count, self.value, self.watches, self.trail = 0, [0], [[]], []
         self.add_vars(var_count)
         self.add(clauses)
 
@@ -251,13 +250,12 @@ class Dpll:
         return n + 1
 
     def add(self, clauses: list[Clause]) -> None:
-        # The solver moves the watches inside these lists; no literal may repeat.
+        # The solver moves the watches inside these lists; no literal may repeat,
+        # but a unit [l] is watched as [l, l], which conflicts once l is false.
         for cl in clauses:
-            if len(cl) > 1:
-                self.watches[cl[0]].append(cl)
-                self.watches[cl[1]].append(cl)
-            else:
-                self.units.append(cl[0])
+            cl = cl if len(cl) > 1 else cl * 2
+            self.watches[cl[0]].append(cl)
+            self.watches[cl[1]].append(cl)
 
     def search(self, assumptions, order, time_budget: float | None) -> bool:
         """Whether `assumptions` and `order`, decided in turn, true first, leave no
@@ -307,7 +305,7 @@ class Dpll:
                         i += 1
             return True
 
-        if not all(map(enqueue, (*self.units, *assumptions))):
+        if not all(map(enqueue, assumptions)):
             return False
         # Chronological DPLL.  A conflict pops the latest decision still on its
         # true branch and propagates its negation; the scan then resumes at that
@@ -335,48 +333,36 @@ class Dpll:
 
 
 class Unrolling(Dpll):
-    """One length search's growing formula (module docstring).  X(r,x) =
-    top[r]-k+x, U(r,s) = top[r]+s, S(i,r,s) = top[r]+(i-1)*n+s, Y(i) = i."""
+    """One image length search's growing formula (module docstring).
+    X(r,x) = top[r]-k+x, U(r,s) = top[r]+s."""
 
-    def __init__(self, a: Automaton, encoding: str = "image"):
+    def __init__(self, a: Automaton):
         super().__init__()
-        self.a, self.encoding, self.c, self.top = a, encoding, 0, []
-        self.width = a.n * a.n if encoding == "paper" else a.n  # U or S variables a layer
+        self.a, self.c, self.top = a, 0, []
 
     def at(self, c: int) -> Unrolling:
         """Make c the bound of the next solve, growing the formula to c layers
         once the grown size passes the solver cap (and VarMap's checks)."""
-        check_var_cap(VarMap(self.a.n, self.a.k, max(c, len(self.top) - 1),
-                             self.encoding).var_count)
+        check_var_cap(VarMap(self.a.n, self.a.k, max(c, len(self.top) - 1)).var_count)
         while len(self.top) <= c:
             self.add_layer()
         self.c = c
         return self
 
     def add_layer(self) -> None:
-        n, k, r, paper = self.a.n, self.a.k, len(self.top), self.encoding == "paper"
-        head = k if r else n if paper else 0  # X, or the paper's Y at r = 0
-        top = self.add_vars(head + self.width) - 1 + head
-        starts = range(0, self.width, n)  # each start state's offset in S
+        n, k, r = self.a.n, self.a.k, len(self.top)
+        head = k if r else 0  # X(r,.) come first; layer 0 has no symbol
+        top = self.add_vars(head + n) - 1 + head
         clauses: list[Clause] = []
         if r:
             xs, below = range(top - k + 1, top + 1), self.top[-1]
             _exactly_one(xs, clauses)
-            for i in starts:
-                for s, row in enumerate(self.a.delta, start=1):
-                    for x, t in zip(xs, row):
-                        clauses.append([-top - i - s, -x, below + i + t])
-        elif paper:  # exactly one sink, which every start state reaches
-            _exactly_one(range(1, n + 1), clauses)
-            clauses += [[-y, top + i + y] for y in range(1, n + 1) for i in starts]
-        if paper:
-            for i in starts:  # at most one S(i,r,.): drop the at-least-one clause
-                _exactly_one(range(top + i + 1, top + i + n + 1), clauses)
-                clauses.pop()
-        else:
-            merges = pair_merges(self.a)
-            clauses += [[-top - p, -top - q] for p in range(1, n + 1) for q in range(p + 1, n + 1)
-                        if merges.get(1 << p - 1 | 1 << q - 1, (r + 1,))[0] > r]
+            for s, row in enumerate(self.a.delta, start=1):
+                for x, t in zip(xs, row):
+                    clauses.append([-top - s, -x, below + t])
+        merges = pair_merges(self.a)
+        clauses += [[-top - p, -top - q] for p in range(1, n + 1) for q in range(p + 1, n + 1)
+                    if merges.get(1 << p - 1 | 1 << q - 1, (r + 1,))[0] > r]
         self.top.append(top)
         self.add(clauses)
 
@@ -385,15 +371,15 @@ def solve_internal(cnf: CnfInstance | Unrolling,
                    time_budget: float | None = None) -> dict[int, bool] | None:
     """Complete DPLL with unit propagation; a desk-scale verification oracle.
 
-    A CnfInstance is searched branching on the lowest unassigned variable, true
-    first, for its first total satisfying assignment in that order.  An
-    Unrolling is searched at its bound c under its assumptions, branching on
-    X(c,.), ..., X(1,.) only: once they are set with no conflict, propagation
-    has fixed the image at each layer r <= c (paper: each start's trace and,
-    through the at-most-one and sink clauses, the sink Y), and false for every
-    other U or S, with X(r,1) above c, completes a model.  It yields the word's
-    symbol variables, numbered as in `encode_sat(a, c)`.  Either way a bound's
-    first model spells its least word.  None means unsatisfiable.  More than
+    A CnfInstance is searched under its unit clauses as assumptions, branching
+    on the lowest unassigned variable, true first, for its first total
+    satisfying assignment in that order.  An Unrolling is searched at its bound
+    c assuming every U(c,s), branching on X(c,.), ..., X(1,.) only: once they
+    are set with no conflict, propagation has fixed the image at each layer
+    r <= c, and false for every other U, with X(r,1) above c, completes a
+    model.  It yields the word's symbol variables, numbered as in
+    `encode_sat(a, c)`.  Either way a bound's first model spells its least
+    word.  None means unsatisfiable.  More than
     DEFAULT_VAR_CAP variables or `time_budget` seconds of search raise
     ResourceLimitError: large instances belong to an external solver.
     """
@@ -401,15 +387,14 @@ def solve_internal(cnf: CnfInstance | Unrolling,
     if isinstance(cnf, CnfInstance):
         # The solver watches its own deduplicated copy of each clause, so watch
         # moves never touch cnf.clauses.
-        dpll = Dpll(cnf.var_count, [list(dict.fromkeys(cl)) for cl in cnf.clauses])
-        every = range(1, cnf.var_count + 1)
-        if not dpll.search((), every, time_budget):
+        clauses = [list(dict.fromkeys(cl)) for cl in cnf.clauses]
+        dpll, every = Dpll(cnf.var_count, clauses), range(1, cnf.var_count + 1)
+        if not dpll.search([cl[0] for cl in clauses if len(cl) == 1], every, time_budget):
             return None
         return {v: dpll.value[v] == 1 for v in every}
     c, k, top = cnf.c, cnf.a.k, cnf.top
     order = [v for r in range(c, 0, -1) for v in range(top[r] - k + 1, top[r] + 1)]
-    step = cnf.a.n + 1 if cnf.encoding == "paper" else 1  # S(i,c,i), or every U(c,s)
-    if not cnf.search(range(top[c] + 1, top[c] + cnf.width + 1, step), order, time_budget):
+    if not cnf.search(range(top[c] + 1, top[c] + cnf.a.n + 1), order, time_budget):
         return None
     return {(c - r) * k + x: cnf.value[top[r] - k + x] == 1
             for r in range(1, c + 1) for x in range(1, k + 1)}

@@ -139,12 +139,26 @@ class TestRendering:
         cells = [BenchCell(4, 2, 1, family="cerny"), BenchCell(4, 2, 2)]
         text = strip_timing(bench_run(cells, ["bfs", "sat-internal"], seed=3))
         assert [line.split() for line in render_table(text).splitlines()] == [
-            ["n", "k", "method", "length", "total_time_ms", "discarded"],
-            ["4", "2", "bfs", "9.00", "0"],
-            ["4", "2", "sat-internal", "9.00", "0"],
-            ["4", "2", "bfs", "2.50", "0"],
-            ["4", "2", "sat-internal", "2.50", "0"],
+            ["instance", "n", "k", "method", "length", "total_time_ms", "discarded"],
+            ["cerny-n4-k2-i0", "4", "2", "bfs", "9.00", "0"],
+            ["cerny-n4-k2-i0", "4", "2", "sat-internal", "9.00", "0"],
+            ["n4-k2-i0..i1", "4", "2", "bfs", "2.50", "0"],
+            ["n4-k2-i0..i1", "4", "2", "sat-internal", "2.50", "0"],
         ]
+
+    def test_aggregate_rows_name_their_cell(self):
+        # Two random 4:2 cells and Cerny 4 share (n, k); each aggregate row, and
+        # its table line, names its cell by the first..last instance ids.
+        cells = [BenchCell(4, 2, 2), BenchCell(4, 2, 1), BenchCell(4, 2, 1, family="cerny")]
+        text = strip_timing(bench_run(cells, ["bfs", "sat-internal"], seed=11))
+        agg = [r for r in rows_of(text) if r["row_type"] == "aggregate"]
+        assert [(r["instance"], r["method"]) for r in agg] == [
+            ("n4-k2-i0..i1", "bfs"), ("n4-k2-i0..i1", "sat-internal"),
+            ("n4-k2-i2", "bfs"), ("n4-k2-i2", "sat-internal"),
+            ("cerny-n4-k2-i0", "bfs"), ("cerny-n4-k2-i0", "sat-internal")]
+        lines = render_table(text).splitlines()[1:]
+        assert [line.split()[0] for line in lines] == [r["instance"] for r in agg]
+        assert len(set(lines)) == len(lines)
 
     def test_strip_timing_blanks_only_timing(self):
         text = bench_run([BenchCell(4, 2, 1)], ["bfs"], seed=1)

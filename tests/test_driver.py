@@ -229,13 +229,26 @@ class TestFindShortestInternal:
             assert outcome.witness == decode_model(a, m, model)
 
     @staticmethod
-    def no_growth(self):
-        raise AssertionError("the formula grew before the var cap was checked")
+    def no_formula(*args):
+        raise AssertionError("a formula was built before the var cap was checked")
+
+    def test_paper_probes_solve_the_pinned_formula(self, monkeypatch):
+        # A paper search grows no formula: each probe solves encode_sat's
+        # six-group formula at its bound, as sat-external's solver would.
+        encoded, encode = [], satenc.encode_sat
+        monkeypatch.setattr(satenc, "encode_sat", lambda *args: encoded.append(args)
+                            or encode(*args))
+        monkeypatch.setattr(satenc, "Unrolling", self.no_formula)
+        a = generate_cerny(4)
+        outcome = find_shortest(a, SearchConfig(method="sat-internal", encoding="paper"))
+        assert [(r.c, r.verdict) for r in outcome.calls] == [
+            (6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]
+        assert encoded == [(a, c, "paper") for c in (6, 7, 9, 8)]
 
     def test_var_cap_checked_before_encoding(self, monkeypatch):
         # Cerny 160 starts at its pair-merge bound c = 12,720, far past the
         # solver cap in paper variables.
-        monkeypatch.setattr("syncword.satenc.Unrolling.add_layer", self.no_growth)
+        monkeypatch.setattr(satenc, "encode_sat", self.no_formula)
         with pytest.raises(ResourceLimitError, match="solver cap"):
             find_shortest(generate_cerny(160),
                           SearchConfig(method="sat-internal", encoding="paper"))
@@ -243,7 +256,7 @@ class TestFindShortestInternal:
     def test_var_cap_checked_before_image_encoding(self, monkeypatch):
         # Cerny 100 starts at its pair-merge bound c = 4,950, which needs
         # 9,900 + 100 * 4,951 = 505,000 image variables.
-        monkeypatch.setattr("syncword.satenc.Unrolling.add_layer", self.no_growth)
+        monkeypatch.setattr("syncword.satenc.Unrolling.add_layer", self.no_formula)
         with pytest.raises(ResourceLimitError, match="505000 variables"):
             find_shortest(generate_cerny(100), SearchConfig(method="sat-internal"))
 

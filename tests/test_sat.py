@@ -233,8 +233,7 @@ class TestDimacs:
 
 
 class TestUnrolling:
-    @pytest.mark.parametrize("encoding", ["image", "paper"])
-    def test_answers_bounds_up_and_down_like_a_fresh_formula(self, encoding):
+    def test_answers_bounds_up_and_down_like_a_fresh_formula(self):
         # One formula per automaton takes bounds in a random order, so a probe
         # may sit below layers built for a larger bound; k = 1 makes each
         # exactly-one X group a unit clause.
@@ -242,10 +241,10 @@ class TestUnrolling:
         seen = {"sat": 0, "unsat": 0, "sat below the top": 0, "k = 1": 0}
         for _ in range(60):
             a = generate_random(rng.randint(2, 8), rng.randint(1, 3), rng.randrange(10**6))
-            formula = Unrolling(a, encoding)
+            formula = Unrolling(a)
             for c in [rng.randint(1, 9) for _ in range(6)]:
                 model = solve_internal(formula.at(c))
-                fresh = solve_internal(encode_sat(a, c, encoding))
+                fresh = solve_internal(encode_sat(a, c))
                 assert (model is None) == (fresh is None), (a.delta, c)
                 if model is not None:
                     assert decode_model(a, c, model) == decode_model(a, c, fresh), (a.delta, c)
@@ -254,55 +253,37 @@ class TestUnrolling:
                 seen["k = 1"] += a.k == 1
         assert min(seen.values()) > 20, seen
 
-    @pytest.mark.parametrize("encoding", ["image", "paper"])
-    def test_a_probe_decides_only_the_word(self, encoding):
+    def test_a_probe_decides_only_the_word(self):
         # After a SAT probe at c, propagation alone has fixed each layer r <= c
-        # to the image of the word's first c-r symbols (paper: each start's
-        # state and the sink Y), and the layers above c hold only what the
-        # units and assumptions force: nothing when k > 1, the unit X(r,1) and
-        # its consequences when k = 1.
+        # to the image of the word's first c-r symbols, and nothing above c is
+        # assigned, not even the unit X(r,1) of a one-letter alphabet.
         rng = random.Random(18)
         seen = {"sat": 0, "k = 1": 0}
         for _ in range(80):
             a = generate_random(rng.randint(2, 8), rng.randint(1, 3), rng.randrange(10**6))
-            n, k = a.n, a.k
-            formula = Unrolling(a, encoding)
+            n = a.n
+            formula = Unrolling(a)
             formula.at(10)  # every probe below sits under built layers
             for c in [rng.randint(1, 9) for _ in range(4)]:
                 model = solve_internal(formula.at(c))
                 if model is None:
                     continue
                 word, top, value = decode_model(a, c, model), formula.top, formula.value
-                after_probe = value[:]
-                # What the units and assumptions force: a search with nothing to decide.
-                step = n + 1 if encoding == "paper" else 1
-                assert formula.search(range(top[c] + 1, top[c] + formula.width + 1, step), (), None)
-                above = range(top[c] + formula.width + 1, formula.var_count + 1)
-                assert [after_probe[v] for v in above] == [value[v] for v in above], (a.delta, c)
-                if k > 1:
-                    assert not any(after_probe[v] for v in above), (a.delta, c)
+                above = range(top[c] + n + 1, formula.var_count + 1)
+                assert not any(value[v] for v in above), (a.delta, c)
                 for r in range(c + 1):
-                    reached = [apply_word(a, q, word[:c - r]) for q in range(1, n + 1)]
-                    # The image's U(r,.), or S(i,r,.) for each start i.
-                    groups = [set(reached)] if encoding == "image" else [{q} for q in reached]
-                    for i, expected in enumerate(groups):
-                        true = {s for s in range(1, n + 1) if after_probe[top[r] + i * n + s] == 1}
-                        assert true == expected, (a.delta, c, r, i)
-                if encoding == "paper":  # Y(y) = y, true for the sink only
-                    sink = apply_word(a, 1, word)
-                    assert [after_probe[y] for y in range(1, n + 1)] == [
-                        1 if y == sink else -1 for y in range(1, n + 1)], (a.delta, c)
+                    image = {apply_word(a, q, word[:c - r]) for q in range(1, n + 1)}
+                    true = {s for s in range(1, n + 1) if value[top[r] + s] == 1}
+                    assert true == image, (a.delta, c, r)
                 seen["sat"] += 1
-                seen["k = 1"] += k == 1
+                seen["k = 1"] += a.k == 1
         assert min(seen.values()) > 20, seen
 
     def test_grown_size_is_the_encoding_size(self, a1):
-        for encoding in ("image", "paper"):
-            formula = Unrolling(a1, encoding)
-            for c in (3, 1, 6):
-                formula.at(c)
-                depth = len(formula.top) - 1
-                assert formula.var_count == VarMap(3, 2, depth, encoding).var_count
+        formula = Unrolling(a1)
+        for c in (3, 1, 6):
+            formula.at(c)
+            assert formula.var_count == VarMap(3, 2, len(formula.top) - 1).var_count
 
 
 class TestDecodeModel:
