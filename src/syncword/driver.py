@@ -227,11 +227,14 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     None without any solver call or a lower bound L on the length.  With d =
     ceil(2*sqrt(n)), the decision methods probe first at L (at d if L < d - 3),
     then after an UNSAT c at max(c + step, d) and after a SAT one bisect, no
-    lower than it minus step, step doubling from 1 each probe; an answer has a
-    SAT probe at its length and an UNSAT one at length - 1.  The opt programs
-    double c from max(L, d).  No setting moves the start: it decides how many
-    probes run, not the length, nor a SAT method's witness, which is the model
-    of the probe at the length.  The witness is re-verified before it is reported.
+    lower than it minus step, step doubling from 1 each probe, until the least
+    SAT c is L or one above an UNSAT probe.  So an answer has a SAT probe at its
+    length, and its optimality rests on an UNSAT probe at length - 1 or on
+    length == L, as every synchronizing word merges every pair.  The opt
+    programs double c from max(L, d).  No setting moves the start: it decides
+    how many probes run, not the length, nor a SAT method's witness, which is
+    the model of the probe at the length.  The witness is re-verified before it
+    is reported.
     An external method whose `cfg.solver_cmd` is None (see `SearchConfig`) raises
     SolverError, but only once the not-synchronizable and one-state answers are out.
     """
@@ -253,9 +256,10 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     formula = satenc.Unrolling(a) if grows else None
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the
-    # greatest unsatisfiable bound) and shortest (the least satisfiable one); the
-    # encoding pads shorter words, so |word| == the bound it was found at.
-    lo, shortest = 0, None
+    # greatest bound known unsatisfiable: L - 1 before any probe, as every
+    # synchronizing word merges every pair) and shortest (the least satisfiable
+    # one); the encoding pads shorter words, so |word| == the bound it was found at.
+    lo, shortest = low - 1, None
     while shortest is None or shortest - lo > 1:
         try:
             found, optimum, rec = _probe(a, c, cfg, formula)

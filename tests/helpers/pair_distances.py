@@ -25,3 +25,17 @@ def pair_distances(a):
         if not new:
             return {pq: d for pq, d in known.items() if pq[0] != pq[1]}
         known.update(new)
+
+
+def certifies_length(a, outcome):
+    """Whether a decision search's probes prove its length m shortest.
+
+    The probe at m is SAT, every SAT probe is at m or above and every UNSAT one
+    below it, and either a probe at m - 1 is UNSAT or m is the greatest pair
+    distance, a lower bound because every synchronizing word merges every pair.
+    """
+    m = outcome.length
+    verdicts = {r.c: r.verdict for r in outcome.calls}
+    return (verdicts.get(m) == "sat"
+            and all((v == "sat") == (c >= m) for c, v in verdicts.items())
+            and (verdicts.get(m - 1) == "unsat" or m == max(pair_distances(a).values())))

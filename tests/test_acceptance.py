@@ -27,6 +27,7 @@ from syncword.satenc import decode_model, encode_sat, solve_internal, write_dima
 from syncword import aspenc
 
 from conftest import A1_TEXT
+from helpers.pair_distances import certifies_length
 
 SWEEP_SEED = 20260823
 
@@ -108,17 +109,13 @@ def test_criterion_3_encoder_soundness_completeness(sweep200, optima200, encodin
 def test_criterion_4_driver_agreement(sweep200, optima200, encoding):
     # The X variables come first and the DPLL branches true-first, so the
     # model at the length spells the lexicographically least shortest word:
-    # the BFS witness.
+    # the BFS witness.  The probes bracket the length and prove it shortest by
+    # an UNSAT probe at length - 1 or by the pair-merge bound.
     bad = 0
     for a, opt in zip(sweep200, optima200):
         outcome = find_shortest(a, SearchConfig(method="sat-internal", encoding=encoding))
-        if outcome.length != opt or outcome.witness != shortest_sync_bfs(a).witness:
-            bad += 1
-            continue
-        verdicts = {r.c: r.verdict for r in outcome.calls}
-        if verdicts.get(outcome.length) != "sat":
-            bad += 1
-        elif outcome.length > 1 and verdicts.get(outcome.length - 1) != "unsat":
+        if (outcome.length != opt or outcome.witness != shortest_sync_bfs(a).witness
+                or not certifies_length(a, outcome)):
             bad += 1
     report(4, bad == 0, f"{encoding}: {len(sweep200)} instances")
 

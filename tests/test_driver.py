@@ -21,6 +21,7 @@ from syncword.errors import ResourceLimitError, SolverError, SoundnessError
 from syncword.satenc import ENCODINGS, decode_model, encode_sat, solve_internal
 from syncword import exact, satenc
 from syncword.exact import check_synchronizable, shortest_sync_bfs
+from helpers.pair_distances import certifies_length
 from test_exact import synchronizable_sweep
 
 
@@ -94,10 +95,10 @@ class TestFindShortestInternal:
             (6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]
 
     @pytest.mark.parametrize("n, seed, trace", [
-        # L = 5 is the length: bisecting alone would go on at 2, 3 and 4.
-        (6, 21, [(5, "sat"), (4, "unsat")]),
+        # L = 5 is the length, so the SAT probe at 5 ends the search.
+        (6, 21, [(5, "sat")]),
         # L = 5 < ceil(2*sqrt(20)) - 3 = 6, so the search starts at 9, the
-        # length, where bisecting alone would go on at 4, 6, 7 and 8.
+        # length, where bisecting alone from L - 1 = 4 would go on at 6, 7 and 8.
         (20, 23, [(9, "sat"), (8, "unsat")]),
     ])
     def test_bisection_starts_one_step_below_the_first_sat_probe(self, n, seed, trace):
@@ -211,11 +212,7 @@ class TestFindShortestInternal:
             outcome = find_shortest(a, SearchConfig(method="sat-internal"))
             assert outcome.length == expected
             assert is_synchronizing_word(a, outcome.witness)
-            verdicts = {r.c: r.verdict for r in outcome.calls}
-            if expected >= 1:
-                assert verdicts[expected] == "sat"
-                if expected > 1:
-                    assert verdicts[expected - 1] == "unsat"
+            assert certifies_length(a, outcome)
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_witness_is_the_model_at_the_length(self, encoding):
@@ -385,6 +382,24 @@ class TestExternalMethods:
         outcome = find_shortest(a1, SearchConfig(method=method, solver_cmd=fake_asp_cmd))
         assert outcome.length == 4
         assert is_synchronizing_word(a1, outcome.witness)
+
+    @pytest.mark.parametrize("method, encoding", [
+        ("sat-internal", "image"), ("sat-internal", "paper"), ("sat-external", "image"),
+        ("asp1", "image"), ("asp2", "image")])
+    @pytest.mark.parametrize("a, word, trace", [
+        # The pair-merge bound L = 5 is the length: L - 1 is known UNSAT, so the
+        # SAT probe at 5 is the whole search.
+        (generate_random(6, 2, 21), "babba", [(5, "sat")]),
+        # L = 6 lies below the length 9, which the UNSAT probe at 8 proves shortest.
+        (generate_cerny(4), "baaabaaab", [(6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]),
+    ], ids=["length-is-L", "cerny4"])
+    def test_decision_search_needs_no_probe_below_the_pair_merge_bound(
+            self, fake_sat_cmd, fake_asp_cmd, method, encoding, a, word, trace):
+        cmd = {"sat-external": fake_sat_cmd, "asp1": fake_asp_cmd, "asp2": fake_asp_cmd}
+        outcome = find_shortest(a, SearchConfig(method=method, solver_cmd=cmd.get(method),
+                                                encoding=encoding))
+        assert [(r.c, r.verdict) for r in outcome.calls] == trace
+        assert outcome.witness == tuple(" ab".index(x) for x in word)
 
     @pytest.mark.parametrize("method", ["asp1opt", "asp2opt"])
     def test_asp_opt_via_stub(self, a1, fake_asp_cmd, method):
