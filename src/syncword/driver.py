@@ -31,7 +31,7 @@ from syncword.automaton import (
     is_synchronizing_word,
 )
 from syncword.errors import DecodeError, ParseError, SolverError, SoundnessError
-from syncword.exact import check_synchronizable, merge_bound, shortest_sync_bfs
+from syncword.exact import check_synchronizable, merge_bound, shortest_sync_bfs, triple_bound
 
 METHODS = ("bfs", "sat-internal", "sat-external", *aspenc.FORMULATIONS)
 
@@ -225,16 +225,20 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     Returns None iff the automaton is not synchronizable.  BFS decides that
     itself; every other method first runs the pair-automaton check, which gives
     None without any solver call or a lower bound L on the length.  With d =
-    ceil(2*sqrt(n)), the decision methods probe first at L (at d if L < d - 3),
-    then after an UNSAT c at max(c + step, d) and after a SAT one bisect, no
-    lower than it minus step, step doubling from 1 each probe, until the least
-    SAT c is L or one above an UNSAT probe.  So an answer has a SAT probe at its
-    length, and its optimality rests on an UNSAT probe at length - 1 or on
-    length == L, as every synchronizing word merges every pair.  The opt
-    programs double c from max(L, d).  No setting moves the start: it decides
-    how many probes run, not the length, nor a SAT method's witness, which is
-    the model of the probe at the length.  The witness is re-verified before it
-    is reported.
+    ceil(2*sqrt(n)), an external method with L >= d - 3, where a solver process
+    costs more than the triple BFS, raises that bound to the triple-merge bound
+    L3 (`triple_bound`); below, and for sat-internal, the bound stays L.  The
+    decision methods probe first at the bound (at d if L < d - 3), then after
+    an UNSAT c at max(c + step, d) and after a SAT one bisect, no lower than it
+    minus step, step doubling from 1 each probe, until the least SAT c is the
+    bound or one above an UNSAT probe.  So an answer has a SAT probe at its
+    length, and its optimality rests on an UNSAT probe at length - 1, on length
+    == L or on length == L3, as every synchronizing word merges every pair and
+    every triple.  The opt programs double c from max(bound, d).  The pair
+    check and the triple BFS run outside `cfg.time_budget`.  No setting moves
+    the start: it decides how many probes run, not the length, nor a SAT
+    method's witness, which is the model of the probe at the length.  The
+    witness is re-verified before it is reported.
     An external method whose `cfg.solver_cmd` is None (see `SearchConfig`) raises
     SolverError, but only once the not-synchronizable and one-state answers are out.
     """
@@ -249,6 +253,8 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     cap, d, step = cubic_length_bound(a.n), default_initial_bound(a.n), 1
     direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
     low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
+    if cfg.method in CMD_ENV and low >= d - 3:  # a solver process costs more than C(n,3) * k
+        low = triple_bound(a)
     c = min(max(low, d) if direct or low < d - 3 else low, cap)
     calls: list[ProbeRecord] = []
     # An image sat-internal search grows one formula; it is freed on return.
@@ -256,9 +262,9 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     formula = satenc.Unrolling(a) if grows else None
 
     # c climbs up to the first satisfiable probe, then bisects between lo (the
-    # greatest bound known unsatisfiable: L - 1 before any probe, as every
-    # synchronizing word merges every pair) and shortest (the least satisfiable
-    # one); the encoding pads shorter words, so |word| == the bound it was found at.
+    # greatest bound known unsatisfiable: low - 1, below a merge bound, before
+    # any probe) and shortest (the least satisfiable one); the encoding pads
+    # shorter words, so |word| == the bound it was found at.
     lo, shortest = low - 1, None
     while shortest is None or shortest - lo > 1:
         try:

@@ -11,6 +11,7 @@ runs only in those that grow past that.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -107,6 +108,39 @@ def check_synchronizable(a: Automaton) -> bool:
     merged, which the pair-automaton BFS decides in O(n^2 * k).
     """
     return len(pair_merges(a)) == a.n * (a.n - 1) // 2
+
+
+def triple_bound(a: Automaton) -> int | None:
+    """L3, the longest shortest word merging a triple of states, or None iff
+    some pair never merges; `merge_bound` when n <= 2.  Every synchronizing
+    word merges every triple, so L3 >= L is a lower bound too.  One backward
+    BFS over the triples in O(n^3 * k), seeded from `pair_merges`: x taking a
+    triple to one state gives d3 = 1, to a pair P at most 1 + d(P), to a triple
+    at most 1 + its d3.  Only `find_shortest`'s external searches run it, and,
+    like the pair check, outside `--time-budget`."""
+    if a.n <= 2 or not check_synchronizable(a):
+        return merge_bound(a)
+    bits, merges = _image_bits(a), pair_merges(a)
+    seeds: dict[int, list[int]] = {}  # d -> triples some symbol takes to a set of d - 1
+    preds: dict[int, list[int]] = {}  # triple -> the triples some symbol takes to it
+    for p, q, t in itertools.combinations(range(a.n), 3):
+        triple = 1 << p | 1 << q | 1 << t
+        for row in bits:
+            img = row[p] | row[q] | row[t]
+            rest = img & (img - 1)
+            if rest & (rest - 1):
+                preds.setdefault(img, []).append(triple)
+            else:
+                seeds.setdefault(merges[img][0] + 1 if rest else 1, []).append(triple)
+    dist: dict[int, int] = {}
+    depth, level = 0, []
+    while level or seeds:
+        depth, last, level = depth + 1, level, []
+        for triple in [*seeds.pop(depth, ()), *(s for m in last for s in preds.get(m, ()))]:
+            if triple not in dist:
+                dist[triple] = depth
+                level.append(triple)
+    return max(dist.values())
 
 
 def _columns(level: list[int], n: int) -> list[int]:

@@ -386,45 +386,64 @@ class TestExternalMethods:
     @pytest.mark.parametrize("method, encoding", [
         ("sat-internal", "image"), ("sat-internal", "paper"), ("sat-external", "image"),
         ("asp1", "image"), ("asp2", "image")])
-    @pytest.mark.parametrize("a, word, trace", [
+    @pytest.mark.parametrize("a, word, internal, external", [
         # The pair-merge bound L = 5 is the length: L - 1 is known UNSAT, so the
         # SAT probe at 5 is the whole search.
-        (generate_random(6, 2, 21), "babba", [(5, "sat")]),
-        # L = 6 lies below the length 9, which the UNSAT probe at 8 proves shortest.
-        (generate_cerny(4), "baaabaaab", [(6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")]),
+        (generate_random(6, 2, 21), "babba", [(5, "sat")], [(5, "sat")]),
+        # L = 6 lies below the length 9, which the UNSAT probe at 8 proves
+        # shortest.  The external searches start at the triple-merge bound L3 = 8.
+        (generate_cerny(4), "baaabaaab",
+         [(6, "unsat"), (7, "unsat"), (9, "sat"), (8, "unsat")], [(8, "unsat"), (9, "sat")]),
     ], ids=["length-is-L", "cerny4"])
     def test_decision_search_needs_no_probe_below_the_pair_merge_bound(
-            self, fake_sat_cmd, fake_asp_cmd, method, encoding, a, word, trace):
+            self, fake_sat_cmd, fake_asp_cmd, method, encoding, a, word, internal, external):
         cmd = {"sat-external": fake_sat_cmd, "asp1": fake_asp_cmd, "asp2": fake_asp_cmd}
         outcome = find_shortest(a, SearchConfig(method=method, solver_cmd=cmd.get(method),
                                                 encoding=encoding))
+        trace = internal if method == "sat-internal" else external
         assert [(r.c, r.verdict) for r in outcome.calls] == trace
         assert outcome.witness == tuple(" ab".index(x) for x in word)
 
+    @pytest.mark.parametrize("method, encoding, trace", [
+        # In process a probe costs less than the triple BFS: the search starts at L.
+        ("sat-internal", "image", [(4, "unsat"), (5, "sat")]),
+        ("sat-internal", "paper", [(4, "unsat"), (5, "sat")]),
+        *[(m, "image", [(5, "sat")])
+          for m in ("sat-external", "asp1", "asp2", "asp1opt", "asp2opt")],
+    ])
+    def test_external_search_starts_at_the_triple_merge_bound(
+            self, fake_sat_cmd, fake_asp_cmd, method, encoding, trace):
+        # L = 4, and L3 = 5 is the length: one solver process is the whole search.
+        a = generate_random(6, 2, 20)
+        cmd = {"sat-internal": None, "sat-external": fake_sat_cmd}.get(method, fake_asp_cmd)
+        outcome = find_shortest(a, SearchConfig(method=method, encoding=encoding, solver_cmd=cmd))
+        assert [(r.c, r.verdict) for r in outcome.calls] == trace
+        assert outcome.witness == tuple(" ab".index(x) for x in "bbaba")
+
     @pytest.mark.parametrize("method", ["asp1opt", "asp2opt"])
     def test_asp_opt_via_stub(self, a1, fake_asp_cmd, method):
-        # initial c = max(3, ceil(2*sqrt(3))) = 4 >= optimum, single emission suffices
+        # initial c = max(L3, ceil(2*sqrt(3))) = max(4, 4) = 4 >= optimum, single emission suffices
         outcome = find_shortest(a1, SearchConfig(method=method, solver_cmd=fake_asp_cmd))
         assert outcome.length == 4
         assert is_synchronizing_word(a1, outcome.witness)
         assert [(r.c, r.verdict) for r in outcome.calls] == [(4, "sat")]
 
-    def test_asp_opt_starts_at_the_pair_merge_bound(self, fake_asp_cmd):
-        # max(10, ceil(2*sqrt(5))) = 10 is UNSAT, 20 is capped at the cubic
-        # bound 19.
+    def test_asp_opt_starts_at_the_triple_merge_bound(self, fake_asp_cmd):
+        # max(L3, ceil(2*sqrt(5))) = max(13, 5) = 13 is UNSAT (L = 10), 26 is
+        # capped at the cubic bound 19.
         outcome = find_shortest(
             generate_cerny(5), SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd)
         )
         assert outcome.length == 16
-        assert [(r.c, r.verdict) for r in outcome.calls] == [(10, "unsat"), (19, "sat")]
+        assert [(r.c, r.verdict) for r in outcome.calls] == [(13, "unsat"), (19, "sat")]
 
     def test_asp_opt_doubles_on_unsat(self, fake_asp_cmd):
-        # L = ceil(2*sqrt(4)) = 4 lies below the length 5.
+        # L = 4 and L3 = ceil(2*sqrt(5)) = 5 lie below the length 6.
         outcome = find_shortest(
-            generate_random(4, 2, 5), SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd)
+            generate_random(5, 2, 26), SearchConfig(method="asp1opt", solver_cmd=fake_asp_cmd)
         )
-        assert outcome.length == 5
-        assert [(r.c, r.verdict) for r in outcome.calls] == [(4, "unsat"), (8, "sat")]
+        assert outcome.length == 6
+        assert [(r.c, r.verdict) for r in outcome.calls] == [(5, "unsat"), (10, "sat")]
 
     def test_external_methods_agree_with_bfs(self, fake_sat_cmd, fake_asp_cmd):
         for a in synchronizable_sweep(5, max_n=5, max_k=2):
@@ -438,6 +457,7 @@ class TestExternalMethods:
             ]:
                 outcome = find_shortest(a, SearchConfig(method=method, solver_cmd=cmd))
                 assert outcome.length == expected, (method, a)
+                assert method.endswith("opt") or certifies_length(a, outcome), (method, a)
 
     def test_missing_solver_cmd(self, a1, monkeypatch):
         monkeypatch.delenv("SYNCWORD_ASP_CMD", raising=False)

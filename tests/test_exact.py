@@ -11,10 +11,17 @@ from syncword.automaton import (
     parse_fa,
 )
 from syncword.errors import ResourceLimitError
-from syncword.exact import check_synchronizable, greedy_sync, merge_bound, shortest_sync_bfs
+from syncword.exact import (
+    check_synchronizable,
+    greedy_sync,
+    merge_bound,
+    shortest_sync_bfs,
+    triple_bound,
+)
 
 from conftest import A1_TEXT
 from helpers.forward_bfs import forward_bfs
+from helpers.pair_distances import triple_distances
 
 
 def synchronizable_sweep(count, max_n=7, max_k=3, base_seed=1000):
@@ -93,6 +100,43 @@ class TestMergeBound:
 
     def test_one_state(self, one_state):
         assert merge_bound(one_state) == 0
+
+
+class TestTripleBound:
+    """The longest shortest triple-merging word L3: a lower bound at least L,
+    None iff the automaton is not synchronizable."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 10) for k in (2, 3)])
+    def test_matches_the_reference(self, n, k):
+        for seed in range(30):
+            a = generate_random(n, k, seed)
+            expected = max(triple_distances(a).values()) if check_synchronizable(a) else None
+            assert triple_bound(a) == expected, (n, k, seed)
+
+    def test_cerny(self):
+        # The reference `triple_distances` gives the same maxima.
+        lengths = [triple_bound(generate_cerny(n)) for n in range(3, 11)]
+        assert lengths == [4, 8, 13, 20, 28, 37, 48, 60]
+
+    def test_between_the_pair_bound_and_the_length_on_the_acceptance_sweep(self):
+        from test_acceptance import _sweep
+
+        for a in _sweep(200, max_k=3):
+            assert merge_bound(a) <= triple_bound(a) <= shortest_sync_bfs(a).length, a
+
+    def test_none_iff_not_synchronizable(self):
+        cases = [generate_random(2 + seed % 9, 1 + seed % 3, seed) for seed in range(150)]
+        cases += [two_class_automaton(2 + seed % 9, 1 + seed % 3, seed) for seed in range(50)]
+        for a in cases:
+            assert (triple_bound(a) is None) == (forward_bfs(a) is None), a
+
+    def test_pair_bound_below_three_states(self, one_state):
+        maps = list(itertools.product((1, 2), repeat=2))
+        for k in (1, 2, 3):
+            for cols in itertools.product(maps, repeat=k):
+                a = Automaton(2, k, tuple(zip(*cols)))
+                assert triple_bound(a) == merge_bound(a), a
+        assert triple_bound(one_state) == merge_bound(one_state) == 0
 
 
 class TestShortestSyncBfs:
