@@ -1,12 +1,13 @@
-"""Exact analysis: pair distances and check, bidirectional subset BFS, greedy heuristic.
+"""Exact analysis: merge distances, pair check, bidirectional subset BFS, greedy heuristic.
 
 A set of states is a bit mask of any width (bit s-1 set means state s is in
-the set).  Pairs are imaged state by state (`_image_bits`), larger sets byte
-by byte (`_byte_tables`), which the BFS also builds from preimages.
+the set).  Pairs and triples are imaged state by state (`_image_bits`) in the
+one merge-distance BFS, larger sets byte by byte (`_byte_tables`), which the
+subset BFS also builds from preimages.
 
-The BFS decides synchronizability itself: most searches end, with a witness or
-with a side run dry, before they store n^2 sets, and the O(k * n^2) pair check
-runs only in those that grow past that.
+The subset BFS decides synchronizability itself: most searches end, with a
+witness or with a side run dry, before they store n^2 sets, and the
+O(k * n^2) pair check runs only in those that grow past that.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from syncword.automaton import Automaton, Word, is_synchronizing_word
-from syncword.errors import ResourceLimitError
+from syncword.errors import ResourceLimitError, SoundnessError
 
 
 @dataclass(frozen=True)
@@ -52,44 +53,43 @@ def _image(mask: int, tabs: list[list[int]]) -> int:
     return out
 
 
-def _pair_merge_bfs(bits: list[list[int]]) -> dict[int, tuple[int, int]]:
-    """Backward BFS on the pair automaton from the merged (diagonal) pairs.
+def _merge_bfs(bits: list[list[int]], size: int, below: dict[int, int]) -> dict[int, int]:
+    """Backward BFS over the sets of `size` states (2 or 3) that some word merges.
 
-    Maps the two-bit mask of every mergeable pair {p,q} to (d, x): d = d(p,q)
-    is the length of a shortest word merging it, and x that word's first
-    symbol.  Runs in O(n^2 * k).
+    Maps each one's mask to d, the length of a shortest word merging it, in the
+    order the BFS reaches them, so d never decreases.  `below` holds d of the
+    smaller sets that merge, the singletons (d = 0) implied: x taking a set to
+    one of them, S, gives the set d <= 1 + d(S).  Runs in O(C(n, size) * k).
     """
-    n = len(bits[0])
-    merges: dict[int, tuple[int, int]] = {}
-    # Backward edges: applying x to {p,q} yields {p',q'}; so from {p',q'} we
-    # can reach {p,q} going backward.
-    preds: dict[int, list[tuple[int, int]]] = {}
-    level: list[int] = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            pair = 1 << p | 1 << q
-            for x, row in enumerate(bits, start=1):
-                img = row[p] | row[q]
-                if img & (img - 1):
-                    preds.setdefault(img, []).append((pair, x))
-                elif pair not in merges:
-                    merges[pair] = (1, x)
-                    level.append(pair)
-    depth = 1
-    while level:  # level by level, in the order a FIFO queue would take
+    singles = [1 << s for s in range(len(bits[0]))]
+    below, top = dict.fromkeys(singles, 0) | below, max(below.values(), default=0) + 1
+    # preds[T]: the sets some symbol takes to T, a set of `size` states;
+    # preds[-d]: the sets some symbol takes to a smaller set of d - 1 (d <= top).
+    preds: dict[int, list[int]] = {}
+    for mask, states in zip(map(sum, itertools.combinations(singles, size)),
+                            itertools.combinations(range(len(singles)), size)):
+        for row in bits:
+            img = 0
+            for s in states:
+                img |= row[s]
+            preds.setdefault(-1 - below[img] if img in below else img, []).append(mask)
+    dist: dict[int, int] = {}
+    depth, level = 0, []
+    while level or depth < top:  # level by level, in the order a FIFO queue would take
         depth, last, level = depth + 1, level, []
-        for merged in last:
-            for pair, x in preds.get(merged, ()):
-                if pair not in merges:
-                    merges[pair] = (depth, x)
-                    level.append(pair)
-    return merges
+        for merged in (-depth, *last):
+            for mask in preds.get(merged, ()):
+                if mask not in dist:
+                    dist[mask] = depth
+                    level.append(mask)
+    return dist
 
 
 @lru_cache(maxsize=1)  # the check, the bound and each probe's encoding ask about one automaton
-def pair_merges(a: Automaton) -> dict[int, tuple[int, int]]:
-    """`_pair_merge_bfs` of `a`; a pair missing from it never merges."""
-    return _pair_merge_bfs(_image_bits(a))
+def pair_merges(a: Automaton) -> dict[int, int]:
+    """d(p,q), the length of a shortest word merging p and q, keyed by the pair's
+    two-bit mask in the BFS's order, d nondecreasing; a missing pair never merges."""
+    return _merge_bfs(_image_bits(a), 2, {})
 
 
 def merge_bound(a: Automaton) -> int | None:
@@ -98,7 +98,7 @@ def merge_bound(a: Automaton) -> int | None:
     lower bound on the shortest synchronizing length."""
     if not check_synchronizable(a):
         return None
-    return max((d for d, _ in pair_merges(a).values()), default=0)
+    return max(pair_merges(a).values(), default=0)
 
 
 def check_synchronizable(a: Automaton) -> bool:
@@ -113,34 +113,12 @@ def check_synchronizable(a: Automaton) -> bool:
 def triple_bound(a: Automaton) -> int | None:
     """L3, the longest shortest word merging a triple of states, or None iff
     some pair never merges; `merge_bound` when n <= 2.  Every synchronizing
-    word merges every triple, so L3 >= L is a lower bound too.  One backward
-    BFS over the triples in O(n^3 * k), seeded from `pair_merges`: x taking a
-    triple to one state gives d3 = 1, to a pair P at most 1 + d(P), to a triple
-    at most 1 + its d3.  Only `find_shortest`'s external searches run it, and,
-    like the pair check, outside `--time-budget`."""
+    word merges every triple, so L3 >= L is a lower bound too.  The merge BFS
+    over the triples from `pair_merges`, in O(n^3 * k).  Only `find_shortest`'s
+    external searches run it, and, like the pair check, outside `--time-budget`."""
     if a.n <= 2 or not check_synchronizable(a):
         return merge_bound(a)
-    bits, merges = _image_bits(a), pair_merges(a)
-    seeds: dict[int, list[int]] = {}  # d -> triples some symbol takes to a set of d - 1
-    preds: dict[int, list[int]] = {}  # triple -> the triples some symbol takes to it
-    for p, q, t in itertools.combinations(range(a.n), 3):
-        triple = 1 << p | 1 << q | 1 << t
-        for row in bits:
-            img = row[p] | row[q] | row[t]
-            rest = img & (img - 1)
-            if rest & (rest - 1):
-                preds.setdefault(img, []).append(triple)
-            else:
-                seeds.setdefault(merges[img][0] + 1 if rest else 1, []).append(triple)
-    dist: dict[int, int] = {}
-    depth, level = 0, []
-    while level or seeds:
-        depth, last, level = depth + 1, level, []
-        for triple in [*seeds.pop(depth, ()), *(s for m in last for s in preds.get(m, ()))]:
-            if triple not in dist:
-                dist[triple] = depth
-                level.append(triple)
-    return max(dist.values())
+    return max(_merge_bfs(_image_bits(a), 3, pair_merges(a)).values())
 
 
 def _columns(level: list[int], n: int) -> list[int]:
@@ -251,20 +229,26 @@ def greedy_sync(a: Automaton) -> Word | None:
     Repeatedly appends a shortest word merging the two lowest states of the
     current image until a single state remains.  Each round shrinks the image
     by at least one state and appends at most C(n,2) symbols, so the result
-    length is O(n^3).  Returns None iff the automaton is not synchronizable.
+    length is O(n^3).  A pair's next symbol is the one the pair BFS reached it
+    by: the least taking it to one state, else the least into the pair first
+    in `pair_merges` one step closer.  None iff the automaton is not synchronizable.
     """
     if not check_synchronizable(a):
         return None
-    merges, tabs = pair_merges(a), _byte_tables(_image_bits(a))
+    tabs = _byte_tables(_image_bits(a))
+    rank = dict.fromkeys([1 << s for s in range(a.n)], -1)  # single states first,
+    rank |= {pair: i for i, pair in enumerate(pair_merges(a))}  # then in BFS order; unmerged last
     image = (1 << a.n) - 1
     word: list[int] = []
     while image & (image - 1):
         rest = image & (image - 1)
         pair = image ^ (rest & (rest - 1))  # the two lowest states
         while pair & (pair - 1):
-            x = merges[pair][1]
+            x = min(range(1, a.k + 1),
+                    key=lambda y: rank.get(_image(pair, tabs[y - 1]), len(rank)))
             word.append(x)
             image = _image(image, tabs[x - 1])
             pair = _image(pair, tabs[x - 1])
-    assert is_synchronizing_word(a, word)
+    if not is_synchronizing_word(a, word):
+        raise SoundnessError(f"greedy word of length {len(word)} does not synchronize")
     return tuple(word)

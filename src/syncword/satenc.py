@@ -133,7 +133,7 @@ def encode_sat(a: Automaton, c: int, encoding: str = "image") -> CnfInstance:
         merges = pair_merges(a)
         for p in range(1, n + 1):
             for q in range(p + 1, n + 1):
-                d = merges.get(1 << p - 1 | 1 << q - 1, (c + 1,))[0]
+                d = merges.get(1 << p - 1 | 1 << q - 1, c + 1)
                 clauses += [[-b - p, -b - q] for b in base[max(0, c + 1 - d):]]
         return CnfInstance(vm.var_count, clauses, vm)
     # One current state per start state and step, including the final step.
@@ -362,7 +362,7 @@ class Unrolling(Dpll):
                     clauses.append([-top - s, -x, below + t])
         merges = pair_merges(self.a)
         clauses += [[-top - p, -top - q] for p in range(1, n + 1) for q in range(p + 1, n + 1)
-                    if merges.get(1 << p - 1 | 1 << q - 1, (r + 1,))[0] > r]
+                    if merges.get(1 << p - 1 | 1 << q - 1, r + 1) > r]
         self.top.append(top)
         self.add(clauses)
 

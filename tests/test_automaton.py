@@ -196,6 +196,10 @@ class TestKiss2:
         # first-appearance order: input 0 -> 1, 1 -> 2; st0 -> 1, st1 -> 2
         assert a.delta == ((2, 1), (1, 2))
 
+    def test_comment_between_transitions(self):
+        text = self.KISS.replace("0 st1 st0 1\n", "# st1 returns to st0 on 0\n0 st1 st0 1\n")
+        assert parse_kiss2(text) == parse_kiss2(self.KISS)
+
     def test_rejects_partial(self):
         with pytest.raises(ParseError, match="partial"):
             parse_kiss2(".i 1\n0 st0 st1 0\n0 st1 st0 0\n1 st0 st0 0\n")

@@ -58,6 +58,13 @@ class TestShortest:
         assert rc == 0
         assert capsys.readouterr().out == "length 4\nwitness baab\n"
 
+    def test_witness_beyond_z_prints_numbers(self, tmp_path, capsys):
+        # 27 symbols: only the last merges the two states, and it has no letter.
+        path = tmp_path / "k27.fa"
+        path.write_text("2 27\n" + "1 " * 27 + "\n" + "2 " * 26 + "1\n")
+        assert cli_main(["shortest", str(path)]) == 0
+        assert capsys.readouterr().out == "length 1\nwitness 27\n"
+
     def test_unknown_encoding_usage_error(self, a1_file):
         assert cli_main(["shortest", a1_file, "--method", "sat-internal",
                          "--encoding", "compact"]) == 2
@@ -166,6 +173,14 @@ class TestGreedy:
 
     def test_swap(self, swap_file):
         assert cli_main(["greedy", swap_file]) == 1
+
+    def test_unverified_word_infra_error(self, a1_file, monkeypatch, capsys):
+        # A word that fails re-verification is a bug, exit 3, not "not synchronizable".
+        from syncword import exact
+
+        monkeypatch.setattr(exact, "is_synchronizing_word", lambda a, w: False)
+        assert cli_main(["greedy", a1_file]) == 3
+        assert "does not synchronize" in capsys.readouterr().err
 
 
 class TestEncode:

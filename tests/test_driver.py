@@ -110,11 +110,11 @@ class TestFindShortestInternal:
         # encodes the pair distances; pair_merges's cache keeps that to one pair BFS.
         exact.pair_merges.cache_clear()
         runs = []
-        pair_bfs = exact._pair_merge_bfs
-        monkeypatch.setattr(exact, "_pair_merge_bfs", lambda bits: runs.append(bits)
-                            or pair_bfs(bits))
+        merge_bfs = exact._merge_bfs
+        monkeypatch.setattr(exact, "_merge_bfs", lambda bits, size, below: runs.append(size)
+                            or merge_bfs(bits, size, below))
         assert find_shortest(generate_cerny(4), SearchConfig(method="sat-internal")).length == 9
-        assert len(runs) == 1
+        assert runs == [2]
 
     def test_search_formula_is_freed_on_return(self, monkeypatch):
         # A benchmark run keeps every outcome; none may keep its search's formula.

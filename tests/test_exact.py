@@ -10,18 +10,20 @@ from syncword.automaton import (
     is_synchronizing_word,
     parse_fa,
 )
-from syncword.errors import ResourceLimitError
+from syncword import exact
+from syncword.errors import ResourceLimitError, SoundnessError
 from syncword.exact import (
     check_synchronizable,
     greedy_sync,
     merge_bound,
+    pair_merges,
     shortest_sync_bfs,
     triple_bound,
 )
 
 from conftest import A1_TEXT
 from helpers.forward_bfs import forward_bfs
-from helpers.pair_distances import triple_distances
+from helpers.pair_distances import pair_distances, triple_distances
 
 
 def synchronizable_sweep(count, max_n=7, max_k=3, base_seed=1000):
@@ -65,6 +67,20 @@ class TestCheckSynchronizable:
         for seed in range(60):
             a = generate_random(2 + seed % 5, 1 + seed % 3, seed)
             assert check_synchronizable(a) == (shortest_sync_bfs(a) is not None)
+
+
+class TestPairMerges:
+    """d(p,q) for every pair some word merges, in the order the BFS reaches them."""
+
+    def test_matches_the_reference(self):
+        cases = [generate_random(n, k, seed)
+                 for n in range(2, 15) for k in range(1, 4) for seed in range(20)]
+        for a in cases + [generate_cerny(n) for n in range(2, 13)]:
+            merges = pair_merges(a)
+            expected = {1 << p - 1 | 1 << q - 1: d for (p, q), d in pair_distances(a).items()}
+            assert merges == expected, a
+            # greedy_sync reads the BFS order: d never decreases along it.
+            assert list(merges.values()) == sorted(merges.values()), a
 
 
 class TestMergeBound:
@@ -320,6 +336,12 @@ class TestGreedySync:
         # Pins the pair order (the two lowest states first) and the symbol
         # each pair is merged by.
         assert greedy_sync(a) == word
+
+    def test_unverified_word_raises_soundness_error(self, a1, monkeypatch):
+        # A check, not an assert: it runs under python -O too.
+        monkeypatch.setattr(exact, "is_synchronizing_word", lambda a, w: False)
+        with pytest.raises(SoundnessError):
+            greedy_sync(a1)
 
     def test_cerny6_bounds(self):
         a = generate_cerny(6)
