@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from syncword.errors import ParseError
@@ -59,8 +60,14 @@ def apply_word(a: Automaton, q: int, w: Sequence[int]) -> int:
 
 def is_synchronizing_word(a: Automaton, w: Sequence[int]) -> bool:
     """True iff every state of `a` reaches one common state under `w`."""
-    targets = {apply_word(a, q, w) for q in range(1, a.n + 1)}
-    return len(targets) == 1
+    for x in set(w):
+        if not 1 <= x <= a.k:
+            raise ValueError(f"symbol {x} outside 1..{a.k}")
+    succ = [tuple(row[x] - 1 for row in a.delta) for x in range(a.k)]
+    states = (0, *range(a.n))  # 0-based; state 1 twice, so itemgetter returns a tuple
+    for x in w:
+        states = itemgetter(*states)(succ[x - 1])
+    return len(set(states)) == 1
 
 
 def word_to_letters(w: Sequence[int]) -> str:

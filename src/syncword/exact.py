@@ -127,10 +127,13 @@ def _columns(level: list[int], n: int) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in list(zip(*rows))[::-1]]
 
 
-def _meet(fwd: list[int], level: list[int], cols: list[int] | None) -> int | None:
-    """The first set of `fwd` inside a set of `level`, in fewer than n steps a set:
-    a level of n sets or more comes with its `_columns`."""
+def _meet(fwd: list[int], level: list[int], cols: list[int] | None, top: int) -> int | None:
+    """The first set of `fwd` inside a set of `level`, whose largest set has `top`
+    states, in fewer than n steps a set: a level of n sets or more comes with its
+    `_columns`.  A set larger than `top` fits inside none, so it is skipped."""
     for s in fwd:
+        if s.bit_count() > top:
+            continue
         if cols is None:
             for p in level:
                 if s & p == s:
@@ -167,7 +170,8 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
     singles = [1 << s for s in range(a.n)]
     parent = {full: full}  # forward: the set each set was first reached from
     seen = dict.fromkeys([0] + singles)  # backward; the empty set 0 is never stored
-    fwd, bwd = [full], [(singles, singles)]  # singletons are their own columns
+    fwd, low = [full], a.n  # the forward level and its smallest set's size
+    bwd = [(singles, singles, 1)]  # (level, columns, largest set's size); see _meet
     decided = False  # whether the pair check has found the automaton synchronizable
 
     def over(limit: str) -> None:
@@ -205,21 +209,25 @@ def shortest_sync_bfs(a: Automaton, max_visited: int | None = None,
                     level.append(nxt)
         if not level:  # a side ran dry before the sides met: nothing synchronizes Q
             return None
+        sizes = map(int.bit_count, level)
         if back:
-            bwd.append((level, _columns(level, a.n) if len(level) >= a.n else None))
+            bwd.append((level, _columns(level, a.n) if len(level) >= a.n else None, max(sizes)))
         else:
-            fwd = level
-        meet = _meet(fwd, *bwd[-1])
+            fwd, low = level, min(sizes)
+        meet = _meet(fwd, *bwd[-1]) if low <= bwd[-1][2] else None
     word, mask = [], meet
     while mask != full:  # the least symbol mapping parent[mask] to mask reached it
         prev = parent[mask]
         word.insert(0, next(x for x, t in enumerate(tabs, start=1) if _image(prev, t) == mask))
         mask = prev
     mask = meet  # then, level by level, the least symbol whose image lies in the next
-    for level, cols in reversed(bwd[:-1]):
-        x = next(x for x, t in enumerate(tabs, start=1) if _meet([_image(mask, t)], level, cols))
+    for level, cols, top in reversed(bwd[:-1]):
+        for x, x_tabs in enumerate(tabs, start=1):
+            img = _image(mask, x_tabs)
+            if _meet((img,), level, cols, top):
+                break
         word.append(x)
-        mask = _image(mask, tabs[x - 1])
+        mask = img
     return BfsResult(len(word), tuple(word), mask.bit_length())
 
 

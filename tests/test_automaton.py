@@ -68,6 +68,26 @@ class TestIsSynchronizing:
     def test_single_state_empty_word(self, one_state):
         assert is_synchronizing_word(one_state, ())
 
+    @given(a=random_automata(), data=st.data())
+    def test_matches_apply_word(self, a, data):
+        # Words of up to 6 symbols on up to 6 states: some synchronize, many
+        # do not, and the empty word comes up on n = 1 and on n > 1.
+        w = data.draw(st.lists(st.integers(1, a.k), max_size=6))
+        expected = len({apply_word(a, q, w) for q in range(1, a.n + 1)}) == 1
+        assert is_synchronizing_word(a, w) == expected
+
+    def test_empty_word_on_many_states(self, a1):
+        assert not is_synchronizing_word(a1, ())
+
+    @pytest.mark.parametrize("symbol", [0, 3], ids=["zero", "k-plus-one"])
+    def test_rejects_bad_symbol(self, a1, symbol):
+        with pytest.raises(ValueError):
+            is_synchronizing_word(a1, (2, 1, symbol, 1, 2))
+
+    def test_rejects_bad_symbol_on_one_state(self, one_state):
+        with pytest.raises(ValueError):
+            is_synchronizing_word(one_state, (2,))
+
     @given(a=random_automata(max_n=5), data=st.data())
     def test_suffix_preserves_synchronization(self, a, data):
         w = data.draw(st.lists(st.integers(1, a.k), max_size=8))
