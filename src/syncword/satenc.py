@@ -22,12 +22,17 @@ r, so no clause names c: exactly one X(r,.), U(r,s) & X(r,x) ->
 U(r-1,delta(s,x)) and -U(r,p) | -U(r,q) when d(p,q) > r.  A probe at c grows
 it to c layers, assumes U(c,s) for every s and decides X(c..1,.) only
 (`solve_internal`), so it has the verdict and first word of encode_sat.
+The solver, `Dpll`, keeps clauses of one or two literals on implication lists
+and watches the longer ones; unit propagation reaches one fixpoint or
+conflict in any order, so neither choice changes a verdict or a first model.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from syncword.automaton import Automaton, Word, int_token
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
@@ -231,13 +236,15 @@ def check_var_cap(var_count: int) -> None:
 
 
 class Dpll:
-    """Watched clauses and the DPLL that searches them.  Variables and clauses
+    """Implication lists, watched clauses and their DPLL.  Variables and clauses
     may be added between searches; each search starts from its assumptions."""
 
     def __init__(self, var_count: int = 0, clauses=()):
         # value[lit] is 1, -1 or 0 (unknown), a negative lit indexing from the end;
-        # watches[lit] holds the clauses watching lit, visited when lit turns false.
-        self.var_count, self.value, self.watches, self.trail = 0, [0], [[]], []
+        # imps[lit] holds the literals that the one- and two-literal clauses make
+        # true once lit is true; watches[lit] holds the longer clauses watching
+        # lit, visited when lit turns false.
+        self.var_count, self.value, self.imps, self.watches, self.trail = 0, [0], [[]], [[]], []
         self.add_vars(var_count)
         self.add(clauses)
 
@@ -246,16 +253,23 @@ class Dpll:
         # old literal keeps its index; returns the first new variable.
         n, self.var_count = self.var_count, self.var_count + count
         self.value[n + 1:n + 1] = [0] * (2 * count)
+        self.imps[n + 1:n + 1] = [[] for _ in range(2 * count)]
         self.watches[n + 1:n + 1] = [[] for _ in range(2 * count)]
         return n + 1
 
     def add(self, clauses: list[Clause]) -> None:
-        # The solver moves the watches inside these lists; no literal may repeat,
-        # but a unit [l] is watched as [l, l], which conflicts once l is false.
+        # [a, b] puts b on imps[-a] and a on imps[-b]; a unit [l] is [l, l]: l on
+        # imps[-l], which conflicts once l is false.  The solver moves the
+        # watches inside the longer clauses, in which no literal may repeat.
+        imps, watches = self.imps, self.watches
         for cl in clauses:
-            cl = cl if len(cl) > 1 else cl * 2
-            self.watches[cl[0]].append(cl)
-            self.watches[cl[1]].append(cl)
+            if len(cl) > 2:
+                watches[cl[0]].append(cl)
+                watches[cl[1]].append(cl)
+            else:
+                imps[-cl[0]].append(cl[-1])
+                if len(cl) == 2:
+                    imps[-cl[1]].append(cl[0])
 
     def search(self, assumptions, order, time_budget: float | None) -> bool:
         """Whether `assumptions` and `order`, decided in turn, true first, leave no
@@ -263,7 +277,7 @@ class Dpll:
         X, every such choice extends to one; the first stays in `value` until the
         next search."""
         deadline = None if time_budget is None else time.monotonic() + time_budget
-        value, watches, trail = self.value, self.watches, self.trail
+        value, imps, watches, trail = self.value, self.imps, self.watches, self.trail
         for lit in trail:
             value[lit] = value[-lit] = 0
         trail.clear()
@@ -283,6 +297,12 @@ class Dpll:
             while head < len(trail):
                 false_lit = -trail[head]
                 head += 1
+                for lit in imps[-false_lit]:  # the binary clauses first
+                    if value[lit] != 1:
+                        if value[lit]:
+                            return False
+                        value[lit], value[-lit] = 1, -1
+                        trail.append(lit)
                 wl = watches[false_lit]
                 i = 0
                 while i < len(wl):
@@ -351,18 +371,24 @@ class Unrolling(Dpll):
 
     def add_layer(self) -> None:
         n, k, r = self.a.n, self.a.k, len(self.top)
+        if not r:
+            # Every layer stamps its clauses from one template: (t, x, s) for each
+            # transition, and the pairs farthest first, d = inf if they never merge.
+            merges = pair_merges(self.a)
+            self.steps = [(t, x, s) for s, row in enumerate(self.a.delta, start=1)
+                          for x, t in enumerate(row, start=1)]
+            self.pairs = sorted(((merges.get(1 << p - 1 | 1 << q - 1, math.inf), p, q)
+                                 for p in range(1, n + 1) for q in range(p + 1, n + 1)),
+                                reverse=True)
         head = k if r else 0  # X(r,.) come first; layer 0 has no symbol
         top = self.add_vars(head + n) - 1 + head
         clauses: list[Clause] = []
         if r:
-            xs, below = range(top - k + 1, top + 1), self.top[-1]
-            _exactly_one(xs, clauses)
-            for s, row in enumerate(self.a.delta, start=1):
-                for x, t in zip(xs, row):
-                    clauses.append([-top - s, -x, below + t])
-        merges = pair_merges(self.a)
-        clauses += [[-top - p, -top - q] for p in range(1, n + 1) for q in range(p + 1, n + 1)
-                    if merges.get(1 << p - 1 | 1 << q - 1, r + 1) > r]
+            below, x0 = self.top[-1], top - k
+            _exactly_one(range(x0 + 1, top + 1), clauses)
+            # Watched on U(r-1,t) and X(r,x): a U(r,s) turning true moves no watch.
+            clauses += [[below + t, -x0 - x, -top - s] for t, x, s in self.steps]
+        clauses += [[-top - p, -top - q] for _, p, q in takewhile(lambda e: e[0] > r, self.pairs)]
         self.top.append(top)
         self.add(clauses)
 

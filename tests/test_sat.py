@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,10 +14,11 @@ from syncword.automaton import (
     parse_fa,
 )
 from syncword.errors import DecodeError, ParseError, ResourceLimitError
-from syncword.exact import shortest_sync_bfs
+from syncword.exact import check_synchronizable, shortest_sync_bfs
 from syncword.satenc import (
     DEFAULT_VAR_CAP,
     CnfInstance,
+    Dpll,
     Unrolling,
     VarMap,
     decode_model,
@@ -279,6 +281,42 @@ class TestUnrolling:
                 seen["k = 1"] += a.k == 1
         assert min(seen.values()) > 20, seen
 
+    def test_grown_formula_is_the_image_encoding(self, swap):
+        # Read a fresh formula back: each binary clause once from the implication
+        # lists, each longer clause once from the two watch lists it sits in.
+        # With layer r renamed to step c+1-r, it is encode_sat's formula less the
+        # units T(1,s), which a probe assumes.
+        rng = random.Random(19)
+        automata = synchronizable_sweep(40, max_n=6) + [swap] + [
+            generate_random(rng.randint(2, 7), rng.randint(1, 3), rng.randrange(10**6))
+            for _ in range(60)]
+        seen = {"never merges": 0, "k = 1": 0}
+        for a in automata:
+            n, k = a.n, a.k
+            for c in (1, 2, 5):
+                formula, vm = Unrolling(a).at(c), VarMap(n, k, c)
+                top = formula.top
+                rename = {top[r] + s: vm.t(c + 1 - r, s) for r in range(c + 1)
+                          for s in range(1, n + 1)}
+                rename |= {top[r] - k + x: vm.x(c + 1 - r, x) for r in range(1, c + 1)
+                           for x in range(1, k + 1)}
+                assert sorted(rename.values()) == list(range(1, vm.var_count + 1))
+                rename |= {-v: -w for v, w in rename.items()}
+                literals = [lit for v in range(1, formula.var_count + 1) for lit in (v, -v)]
+                # [a, b] is b on imps[-a] and a on imps[-b]; a unit [l] is l on imps[-l].
+                binary = [(-lit, b) for lit in literals for b in formula.imps[lit] if -lit <= b]
+                watched = Counter(id(cl) for lit in literals for cl in formula.watches[lit])
+                assert set(watched.values()) == {2}
+                longer = {id(cl): cl for lit in literals for cl in formula.watches[lit]}
+                grown = Counter(frozenset(rename[lit] for lit in cl)
+                                for cl in [*binary, *longer.values()])
+                units = [[vm.t(1, s)] for s in range(1, n + 1)]
+                assert grown == Counter(frozenset(cl) for cl in encode_sat(a, c).clauses
+                                        if cl not in units), (a.delta, c)
+            seen["never merges"] += not check_synchronizable(a)
+            seen["k = 1"] += k == 1
+        assert min(seen.values()) > 10, seen
+
     def test_grown_size_is_the_encoding_size(self, a1):
         formula = Unrolling(a1)
         for c in (3, 1, 6):
@@ -346,6 +384,39 @@ class TestSolveInternal:
             assert solve_internal(CnfInstance(nvars, clauses)) == expected, clauses
             verdicts["unsat" if expected is None else "sat"] += 1
         assert min(verdicts.values()) > 200, verdicts
+
+    def test_incremental_search_matches_brute_force(self):
+        # As an Unrolling grows: variables and clauses arrive over several
+        # add_vars/add calls, each followed by a search of the formula so far,
+        # with its units assumed (as solve_internal does) or only propagated.
+        rng = random.Random(10)
+        kinds = {"sat": 0, "unsat": 0, "after a sat search": 0, "no assumptions": 0,
+                 "repeated": 0, "complementary": 0}
+        for _ in range(400):
+            dpll, nvars, clauses, sat = Dpll(), 0, [], False
+            for _ in range(rng.randint(2, 4)):
+                count = rng.randint(0, 3)
+                assert dpll.add_vars(count) == nvars + 1
+                nvars += count
+                new = [[rng.choice((1, -1)) * rng.randint(1, nvars)
+                        for _ in range(rng.choice((1, 2, 2, 3, 3, 4, 6)))]
+                       for _ in range(rng.randint(0, 2 * nvars))] if nvars else []
+                clauses += new
+                # The longer clauses may repeat no literal, as solve_internal ensures.
+                dpll.add([list(dict.fromkeys(cl)) for cl in new])
+                units = [cl[0] for cl in clauses if len(set(cl)) == 1]
+                assume = rng.random() < 0.5
+                expected = first_model_brute_force(nvars, clauses) if nvars else {}
+                found = dpll.search(units if assume else [], range(1, nvars + 1), None)
+                model = {v: dpll.value[v] == 1 for v in range(1, nvars + 1)} if found else None
+                assert model == expected, (clauses, assume)
+                kinds["unsat" if expected is None else "sat"] += 1
+                kinds["after a sat search"] += sat
+                kinds["no assumptions"] += not assume
+                sat = expected is not None
+                kinds["repeated"] += any(len(set(cl)) < len(cl) for cl in new)
+                kinds["complementary"] += any(-lit in cl for cl in new for lit in cl)
+        assert min(kinds.values()) > 50, kinds
 
     def test_leaves_clauses_unchanged(self, a1):
         # The solver moves watches inside its own copies of the clauses.
