@@ -88,12 +88,13 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings)
     draw, used = 0, Counter()  # ids given per family and (n, k), numbered on across cells
     for cell in cells:
         instances, discarded, draw = generate_instances(cell, seed, draw)
-        outcomes: dict[str, list[SearchOutcome]] = {m: [] for m in methods}
+        sums = {m: Counter() for m in methods}  # each method's summed length and time in ms
         tag = f"{'cerny-' if cell.family == 'cerny' else ''}n{cell.n}-k{cell.k}"
         ids = f"{tag}-i{used[tag]}" + (f"..i{used[tag] + cell.count - 1}" if cell.count > 1 else "")
         for inst_seed, a in instances:
             inst_id = f"{tag}-i{used[tag]}"
             used[tag] += 1
+            lengths = {}
             for method, cfg in zip(methods, configs):
                 outcome = find_shortest(a, cfg)
                 if outcome is None:
@@ -101,19 +102,19 @@ def bench_run(cells: list[BenchCell], methods: list[str], seed: int, **settings)
                         f"{inst_id}: instance passed the synchronizability check "
                         f"but method {method} reported not-synchronizable"
                     )
-                outcomes[method].append(outcome)
+                lengths[method] = outcome.length
+                sums[method].update(length=outcome.length, ms=outcome.total_time * 1000)
                 writer.writerow(_instance_row(inst_id, cell, inst_seed, method, outcome))
-            lengths = {m: outs[-1].length for m, outs in outcomes.items()}
             if len(set(lengths.values())) > 1:
                 raise SoundnessError(
                     f"{inst_id}: methods disagree on shortest length: {lengths}"
                 )
-        for method, outs in outcomes.items():
+        for method, total in sums.items():
             aggregates.append({
                 "row_type": "aggregate", "instance": ids, "n": cell.n, "k": cell.k, "seed": seed,
                 "method": method, "discarded": discarded,
-                "length": f"{sum(o.length for o in outs) / len(outs):.2f}",
-                "total_time_ms": f"{sum(o.total_time * 1000 for o in outs) / len(outs):.3f}",
+                "length": f"{total['length'] / cell.count:.2f}",
+                "total_time_ms": f"{total['ms'] / cell.count:.3f}",
             })
     writer.writerows(aggregates)
     return buf.getvalue()

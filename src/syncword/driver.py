@@ -1,10 +1,8 @@
-"""Shortest-length discovery: one probe per bound and one search loop over
-every method, plus external solver process adaptation.
+"""Shortest-length discovery: one BFS call, or one probe per bound from one
+bound policy, plus external solver process adaptation.
 
 The decision predicate "a synchronizing word of length c exists" is monotone
-in c, so from a start no lower than the pair-merge bound we climb to a SAT
-upper bound and binary-search the least SAT c; BFS and the opt programs
-return the optimum directly and skip the binary search.  Every witness is
+in c, which the policy's climb and bisection rely on.  Every witness is
 re-verified against the automaton before it is reported; a verification
 failure is a soundness error, never silently accepted.
 """
@@ -20,6 +18,7 @@ import tempfile
 import threading
 import time
 from array import array
+from collections.abc import Generator
 from dataclasses import InitVar, dataclass, field
 
 from syncword import aspenc, satenc
@@ -223,25 +222,17 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     """Shortest synchronizing length under the configured method.
 
     Returns None iff the automaton is not synchronizable.  BFS decides that
-    itself; every other method first runs the pair-automaton check, which gives
-    None without any solver call or a lower bound L on the length.  With d =
-    ceil(2*sqrt(n)), an external method with L >= d - 3, where a solver process
-    costs more than the triple BFS, raises that bound to the triple-merge bound
-    L3 (`triple_bound`); below, and for sat-internal, the bound stays L.  The
-    decision methods probe first at the bound (at d if L < d - 3), then after
-    an UNSAT c at max(c + step, d) and after a SAT one bisect, no lower than it
-    minus step, step doubling from 1 each probe, until the least SAT c is the
-    bound or one above an UNSAT probe.  So an answer has a SAT probe at its
-    length, and its optimality rests on an UNSAT probe at length - 1, on length
-    == L or on length == L3, as every synchronizing word merges every pair and
-    every triple.  The opt programs double c from max(bound, d).  The pair
-    check and the triple BFS run outside `cfg.time_budget`.  No setting moves
-    the start: it decides how many probes run, not the length, nor a SAT
-    method's witness, which is the model of the probe at the length.  The
-    witness is re-verified before it is reported.
-    An external method whose `cfg.solver_cmd` is None (see `SearchConfig`) raises
-    SolverError, but only once the not-synchronizable and one-state answers are out.
-    """
+    itself in one call, recorded as one probe at the length it found.  Every
+    other method first runs the pair-automaton check, which gives None or a
+    lower bound L on the length; with d = ceil(2*sqrt(n)), an external method
+    with L >= d - 3, where a solver process costs more than the triple BFS,
+    raises it to the triple-merge bound L3.  Both run outside
+    `cfg.time_budget`.  `_bounds` then chooses every probe from the bound, d,
+    the cubic cap and the verdicts alone; any start gives the same length and
+    SAT witness, the model of the probe at the length.  The witness is
+    re-verified before it is reported.  An external method whose
+    `cfg.solver_cmd` is None (see `SearchConfig`) raises SolverError, but only
+    once the not-synchronizable and one-state answers are out."""
     start = time.monotonic()
     if cfg.method != "bfs" and not check_synchronizable(a):
         return None  # else the decision methods would climb c up to the cubic bound
@@ -250,47 +241,34 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
         return SearchOutcome(0, (), (), time.monotonic() - start)
     if cfg.method in CMD_ENV and cfg.solver_cmd is None:
         raise SolverError(f"method {cfg.method!r} needs a solver command ({CMD_ENV[cfg.method]})")
-    cap, d, step = cubic_length_bound(a.n), default_initial_bound(a.n), 1
-    direct = cfg.method == "bfs" or cfg.method.endswith("opt")  # these return the optimum
-    low = 0 if cfg.method == "bfs" else merge_bound(a)  # cached by the check above
-    if cfg.method in CMD_ENV and low >= d - 3:  # a solver process costs more than C(n,3) * k
-        low = triple_bound(a)
-    c = min(max(low, d) if direct or low < d - 3 else low, cap)
-    calls: list[ProbeRecord] = []
-    # An image sat-internal search grows one formula; it is freed on return.
-    grows = cfg.method == "sat-internal" and cfg.encoding == "image"
-    formula = satenc.Unrolling(a) if grows else None
-
-    # c climbs up to the first satisfiable probe, then bisects between lo (the
-    # greatest bound known unsatisfiable: low - 1, below a merge bound, before
-    # any probe) and shortest (the least satisfiable one); the encoding pads
-    # shorter words, so |word| == the bound it was found at.
-    lo, shortest = low - 1, None
-    while shortest is None or shortest - lo > 1:
-        try:
-            found, optimum, rec = _probe(a, c, cfg, formula)
-        except (ParseError, DecodeError) as exc:  # only solver output is parsed here
-            raise SolverError(f"unreadable solver output at c={c}: {exc}") from exc
-        calls.append(rec)
-        if optimum is not None:  # BFS and the opt programs return the optimum
-            word, shortest = found, optimum
-            break
-        if found is not None:
-            word, shortest = found, c
-        elif cfg.method == "bfs":  # the BFS found the automaton not synchronizable
+    if cfg.method == "bfs":
+        res = shortest_sync_bfs(a, time_budget=cfg.time_budget)
+        if res is None:
+            if check_synchronizable(a):  # only a non-synchronizable input pays for this
+                raise SoundnessError("pair-automaton check and power-set BFS disagree")
             return None
-        elif c >= cap:
-            # Synchronizable automata always have a word within the cubic
-            # bound; reaching it UNSAT means the encoder or solver is broken.
-            raise SoundnessError(
-                f"no synchronizing word found up to the length bound {cap} "
-                "for a synchronizable automaton"
-            )
-        else:
-            lo = c
-        c = (max((lo + shortest) // 2, shortest - step) if shortest is not None
-             else min(2 * c if direct else max(c + step, d), cap))
-        step *= 2
+        word, shortest = res.witness, res.length
+        calls = [ProbeRecord(shortest, "sat", time.monotonic() - start)]
+    else:
+        cap, d, low = cubic_length_bound(a.n), default_initial_bound(a.n), merge_bound(a)
+        if cfg.method in CMD_ENV and low >= d - 3:  # a solver process costs more than C(n,3) * k
+            low = triple_bound(a)
+        grows = cfg.method == "sat-internal" and cfg.encoding == "image"  # freed on return
+        formula = satenc.Unrolling(a) if grows else None
+        policy, calls, length = _bounds(low, d, cap, cfg.method.endswith("opt")), [], None
+        while True:
+            try:
+                c = policy.send(length)
+            except StopIteration as stop:
+                shortest = stop.value
+                break
+            try:
+                found, length, rec = _probe(a, c, cfg, formula)
+            except (ParseError, DecodeError) as exc:  # only solver output is parsed here
+                raise SolverError(f"unreadable solver output at c={c}: {exc}") from exc
+            calls.append(rec)
+            if found is not None:  # the last SAT probe is the one at the length
+                word = found
 
     if (len(word) != shortest or not all(1 <= x <= a.k for x in word)
             or not is_synchronizing_word(a, word)):
@@ -302,21 +280,42 @@ def find_shortest(a: Automaton, cfg: SearchConfig) -> SearchOutcome | None:
     return SearchOutcome(shortest, word, tuple(calls), time.monotonic() - start, peak)
 
 
+def _bounds(low: int, d: int, cap: int, direct: bool) -> Generator[int, int | None, int]:
+    """The length search's bound policy: yields each bound c to probe, is sent
+    the length the probe found (c, or an opt program's optimum if `direct`) or
+    None, and returns the length.  Lengths below `low` are known UNSAT.  The
+    first probe is at `low`, or at d if `direct` or low < d - 3.  Until a SAT
+    probe, c climbs to max(c + step, d), or doubles if `direct`, up to `cap`;
+    UNSAT there is a SoundnessError, as every synchronizable automaton has a
+    word that long.  A decision method then bisects, no lower than shortest -
+    step, until shortest - lo == 1: the length has a SAT probe, and an UNSAT
+    one at length - 1 unless it is `low`.  `step` starts at 1, doubling."""
+    c = min(max(low, d) if direct or low < d - 3 else low, cap)
+    lo, shortest, step = low - 1, None, 1
+    while shortest is None or shortest - lo > 1:
+        length = yield c
+        if length is None and c >= cap:
+            raise SoundnessError(f"no synchronizing word found up to the length bound {cap} "
+                                 "for a synchronizable automaton")
+        if length is None:
+            lo = c
+        else:  # an opt program's optimum m proves m - 1 UNSAT too
+            lo, shortest = length - 1 if direct else lo, length
+        c = (max((lo + shortest) // 2, shortest - step) if shortest is not None
+             else min(2 * c if direct else max(c + step, d), cap))
+        step *= 2
+    return shortest
+
+
 def _probe(a: Automaton, c: int, cfg: SearchConfig,
            formula: satenc.Unrolling | None) -> tuple[Word | None, int | None, ProbeRecord]:
-    """One probe at bound c: (witness or None, the optimum when the method
-    knows it, probe record).  An image sat-internal search probes its `formula`."""
+    """One SAT or ASP probe at bound c: (witness or None, the length it found:
+    c, or an opt program's optimum, probe record).  An image sat-internal
+    search probes its `formula`."""
     t0 = time.monotonic()
     method = cfg.method
-    word = shortest = memory_kb = None
-    if method == "bfs":
-        res = shortest_sync_bfs(a, time_budget=cfg.time_budget)
-        if res is not None:
-            word, shortest = res.witness, res.length
-            c = res.length  # BFS ignores the bound; record what it found
-        elif check_synchronizable(a):  # only a non-synchronizable input pays for this
-            raise SoundnessError("pair-automaton check and power-set BFS disagree")
-    elif method.startswith("sat"):
+    word = optimum = memory_kb = None
+    if method.startswith("sat"):
         if formula is not None:
             model = satenc.solve_internal(formula.at(c), time_budget=cfg.time_budget)
         elif method == "sat-internal":  # the cap first: it may forbid building the formula
@@ -335,6 +334,6 @@ def _probe(a: Automaton, c: int, cfg: SearchConfig,
         atoms = parse_asp_solver_output(result.stdout, expect_optimum=method.endswith("opt"))
         memory_kb = result.memory_kb
         if atoms is not None:
-            word, shortest = aspenc.decode_answer_set(program, atoms)
-    verdict = "unsat" if word is None else "sat"
-    return word, shortest, ProbeRecord(c, verdict, time.monotonic() - t0, memory_kb)
+            word, optimum = aspenc.decode_answer_set(program, atoms)
+    rec = ProbeRecord(c, "unsat" if word is None else "sat", time.monotonic() - t0, memory_kb)
+    return word, None if word is None else optimum or c, rec

@@ -123,8 +123,8 @@ def triple_bound(a: Automaton) -> int | None:
 
 def _columns(level: list[int], n: int) -> list[int]:
     """cols[s] of a level: bit i is set iff state s+1 is in level[i]."""
-    rows = [format(p, f"0{n}b") for p in level]
-    return [int("".join(col)[::-1], 2) for col in list(zip(*rows))[::-1]]
+    rows = "".join([format(p, f"0{n}b") for p in reversed(level)])
+    return [int(rows[n - 1 - s::n], 2) for s in range(n)]
 
 
 def _meet(fwd: list[int], level: list[int], cols: list[int] | None, top: int) -> int | None:

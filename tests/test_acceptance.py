@@ -28,6 +28,7 @@ from syncword import aspenc
 
 from conftest import A1_TEXT
 from helpers.pair_distances import certifies_length
+from helpers.replay import replay_search
 
 SWEEP_SEED = 20260823
 
@@ -110,14 +111,19 @@ def test_criterion_4_driver_agreement(sweep200, optima200, encoding):
     # The X variables come first and the DPLL branches true-first, so the
     # model at the length spells the lexicographically least shortest word:
     # the BFS witness.  The probes bracket the length and prove it shortest by
-    # an UNSAT probe at length - 1 or by the pair-merge bound.
-    bad = 0
+    # an UNSAT probe at length - 1 or by the pair-merge bound.  The bound
+    # policy, replayed from the BFS length alone, gives the same probes.
+    bad = probes = 0
     for a, opt in zip(sweep200, optima200):
         outcome = find_shortest(a, SearchConfig(method="sat-internal", encoding=encoding))
+        calls = [(r.c, r.verdict) for r in outcome.calls]
+        probes += len(calls)
         if (outcome.length != opt or outcome.witness != shortest_sync_bfs(a).witness
-                or not certifies_length(a, outcome)):
+                or not certifies_length(a, outcome)
+                or calls != replay_search(a, "sat-internal", opt)):
             bad += 1
-    report(4, bad == 0, f"{encoding}: {len(sweep200)} instances")
+    report(4, bad == 0 and probes == 342,
+           f"{encoding}: {len(sweep200)} instances, {probes} probes")
 
 
 def test_criterion_5_upper_bound_invariant(sweep200, optima200):

@@ -22,6 +22,7 @@ from syncword.satenc import ENCODINGS, decode_model, encode_sat, solve_internal
 from syncword import exact, satenc
 from syncword.exact import check_synchronizable, shortest_sync_bfs
 from helpers.pair_distances import certifies_length
+from helpers.replay import replay_search
 from test_exact import synchronizable_sweep
 
 
@@ -458,6 +459,8 @@ class TestExternalMethods:
                 outcome = find_shortest(a, SearchConfig(method=method, solver_cmd=cmd))
                 assert outcome.length == expected, (method, a)
                 assert method.endswith("opt") or certifies_length(a, outcome), (method, a)
+                probes = [(r.c, r.verdict) for r in outcome.calls]
+                assert probes == replay_search(a, method, expected), (method, a)
 
     def test_missing_solver_cmd(self, a1, monkeypatch):
         monkeypatch.delenv("SYNCWORD_ASP_CMD", raising=False)

@@ -330,6 +330,22 @@ class TestImageKernel:
                 assert _image(mask, tabs[x - 1]) == expected
 
 
+class TestColumns:
+    @pytest.mark.parametrize("n", range(1, 71))
+    def test_matches_a_per_bit_transpose(self, n):
+        # Column s holds bit i iff state s + 1 is in level[i]; a level has at
+        # least n sets when the search asks for its columns, so L = n is the
+        # smallest, and most n here are not a multiple of 8.
+        import random
+
+        rng = random.Random(n)
+        for size in (n, n + 1, 3 * n + 5):
+            level = [rng.getrandbits(n) for _ in range(size)]
+            level[rng.randrange(size)] = (1 << n) - 1
+            expected = [sum((p >> s & 1) << i for i, p in enumerate(level)) for s in range(n)]
+            assert exact._columns(level, n) == expected
+
+
 class TestGreedySync:
     def test_a1(self, a1):
         w = greedy_sync(a1)
